@@ -166,12 +166,10 @@ def _dim_list(dims: Dict[int, int], hi: int) -> List[int]:
 def _min_valuation(m: RationalMatrix, p: int) -> Optional[int]:
     """Least entry valuation, or None for the zero matrix."""
     best: Optional[int] = None
-    for row in m.rows:
-        for x in row:
-            if x:
-                v = int(p_valuation(x, p))
-                if best is None or v < best:
-                    best = v
+    for _, _, x in m.nonzero_entries():
+        v = int(p_valuation(x, p))
+        if best is None or v < best:
+            best = v
     return best
 
 
@@ -948,11 +946,11 @@ def _replay_validate(data: dict) -> None:
         raise ValueError("dump carries no certificates")
 
 
-def _replay_check(data: dict) -> None:
+def _replay_check(data: dict, fresh: dict) -> None:
+    """Re-check the stored certificates, then compare with the recomputed dump."""
     recheck = _RECHECKS.get(data["kind"])
     if recheck is not None:
         recheck(data)
-    fresh = _JOBS[data["kind"]](data["inputs"])
     if _render(fresh) != _render(data):
         raise CertificateError(
             "recomputation from the recorded inputs does not reproduce the dump"
@@ -960,16 +958,28 @@ def _replay_check(data: dict) -> None:
 
 
 def verify_replay(paths: Sequence[str]) -> int:
-    """Re-audit dumps; 0 all good, 1 unreadable input, 2 broken certificate."""
+    """Re-audit dumps; 0 all good, 1 malformed dump, 2 broken certificate.
+
+    A dump is malformed when it cannot be read, lacks its envelope, or its
+    recorded inputs are missing, mistyped or rejected by the job (a
+    ``ValueError``, ``KeyError`` or ``TypeError`` while recomputing).  Any
+    other failure, including a stored certificate that does not hold or
+    does not parse, breaks the certificate.
+    """
 
     def work(path: str) -> Tuple[str, str, str]:
         try:
             data = _load_json(path)
             _replay_validate(data)
-        except ValueError as exc:
+            fresh = _JOBS[data["kind"]](data["inputs"])
+        except KeyError as exc:
+            return ("invalid", path, f"missing field {exc}")
+        except (ValueError, TypeError) as exc:
             return ("invalid", path, str(exc))
+        except Exception as exc:
+            return ("fail", path, str(exc))
         try:
-            _replay_check(data)
+            _replay_check(data, fresh)
         except Exception as exc:
             return ("fail", path, str(exc))
         return ("ok", path, "")

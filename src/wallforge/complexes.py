@@ -197,8 +197,13 @@ def homology(C: ChainComplex, n: int) -> HomologyRecord:
 
 
 def homology_dims(C: ChainComplex) -> Dict[int, int]:
-    """All homology dimensions over the support range (zeros included)."""
-    return {n: homology(C, n).dim for n in C.degrees()}
+    """All homology dimensions over the support range (zeros included).
+
+    ``dim H_n = dim C_n - rank d_n - rank d_{n+1}``, from the ranks alone:
+    no cycle representatives are built.
+    """
+    C.require_valid()
+    return {n: C.dim(n) - C.diff(n).rank() - C.diff(n + 1).rank() for n in C.degrees()}
 
 
 def is_exact(C: ChainComplex, skip_degrees: Sequence[int] = ()) -> bool:
@@ -337,7 +342,6 @@ def tensor_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
         total_rows = off
         cols_blocks = []
         for i, j in src:
-            block = RationalMatrix.zeros(total_rows, C.dim(i) * D.dim(j))
             pieces = []
             # d_C (x) id lands in (i-1, j); id (x) d_D lands in (i, j-1)
             if (i - 1, j) in tgt_offsets and C.dim(i - 1):
@@ -348,13 +352,11 @@ def tensor_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
                 if i % 2:
                     vert = -vert
                 pieces.append((tgt_offsets[(i, j - 1)], vert))
-            grid = [list(row) for row in block.rows]
-            for r0, piece in pieces:
-                for a, row in enumerate(piece.rows):
-                    for b, x in enumerate(row):
-                        if x:
-                            grid[r0 + a][b] = x
-            cols_blocks.append(RationalMatrix(grid, ncols=C.dim(i) * D.dim(j)))
+            cols_blocks.append(
+                RationalMatrix.from_blocks(
+                    total_rows, C.dim(i) * D.dim(j), [(r0, 0, piece) for r0, piece in pieces]
+                )
+            )
         if cols_blocks:
             diffs[n] = RationalMatrix.hstack(cols_blocks)
     return ChainComplex(dims, diffs)

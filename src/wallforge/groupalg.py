@@ -40,6 +40,9 @@ from wallforge.linalg import (
     vec,
 )
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 # ---------------------------------------------------------------------------
 # finite groups
@@ -293,7 +296,7 @@ class AlgebraPresentation:
     are checked on construction.
     """
 
-    __slots__ = ("dim", "products", "unit", "labels")
+    __slots__ = ("dim", "products", "unit", "labels", "_terms")
 
     def __init__(
         self,
@@ -316,6 +319,12 @@ class AlgebraPresentation:
         object.__setattr__(self, "products", prods)
         object.__setattr__(self, "unit", u)
         object.__setattr__(self, "labels", tuple(labels) if labels else None)
+        # the nonzero structure constants of each b_i * b_j, as (k, c) pairs
+        terms = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(entry) if c) for entry in row)
+            for row in prods
+        )
+        object.__setattr__(self, "_terms", terms)
         if not _skip_validation:
             self._validate()
 
@@ -342,22 +351,22 @@ class AlgebraPresentation:
                         raise ValueError(f"associativity fails at triple ({i},{j},{k})")
 
     def multiply(self, u: Sequence, v: Sequence) -> tuple:
-        out = [Fraction(0)] * self.dim
+        out = [_ZERO] * self.dim
+        vs = [(j, b if type(b) is Fraction else Fraction(b)) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if not a:
                 continue
-            a = Fraction(a)
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                ab = a * Fraction(b)
-                for k, c in enumerate(self.products[i][j]):
-                    if c:
-                        out[k] += ab * c
+            if type(a) is not Fraction:
+                a = Fraction(a)
+            terms = self._terms[i]
+            for j, b in vs:
+                ab = a * b
+                for k, c in terms[j]:
+                    out[k] += ab * c
         return tuple(out)
 
     def basis_vector(self, i: int) -> tuple:
-        return tuple(Fraction(1) if k == i else Fraction(0) for k in range(self.dim))
+        return tuple(_ONE if k == i else _ZERO for k in range(self.dim))
 
     def left_mult_matrix(self, u: Sequence) -> RationalMatrix:
         cols = [self.multiply(u, self.basis_vector(j)) for j in range(self.dim)]
@@ -803,16 +812,12 @@ def _hom_cochain_complex(
         if r_src == 0 or r_tgt == 0 or nd == 0:
             continue
         entries = res.algebra_entries(n + 1)  # r_src x r_tgt, A-valued
-        grid = [[Fraction(0)] * (nd * r_src) for _ in range(nd * r_tgt)]
-        for u in range(r_tgt):
-            for t in range(r_src):
-                block = N.action_of(entries[t][u])
-                for a in range(nd):
-                    for b in range(nd):
-                        val = block.entry(a, b)
-                        if val:
-                            grid[u * nd + a][t * nd + b] = val
-        diffs[-n] = RationalMatrix(grid, ncols=nd * r_src)
+        blocks = [
+            (u * nd, t * nd, N.action_of(entries[t][u]))
+            for u in range(r_tgt)
+            for t in range(r_src)
+        ]
+        diffs[-n] = RationalMatrix.from_blocks(nd * r_tgt, nd * r_src, blocks)
     return ChainComplex(dims, diffs, presentation="cochain")
 
 
@@ -1093,18 +1098,13 @@ def _semilinear_basis(
     algebra basis w) has block (t, u) equal to R_{b_w} tau.
     """
     da = A.dim
-    out = []
-    for t in range(r_tgt):
-        for u in range(r_src):
-            for w in range(A.dim):
-                block = A.right_mult_matrix(A.basis_vector(w)) @ tau
-                grid = [[Fraction(0)] * (r_src * da) for _ in range(r_tgt * da)]
-                for a, row in enumerate(block.rows):
-                    for b, x in enumerate(row):
-                        if x:
-                            grid[t * da + a][u * da + b] = x
-                out.append(RationalMatrix(grid, ncols=r_src * da))
-    return out
+    blocks = [A.right_mult_matrix(A.basis_vector(w)) @ tau for w in range(da)]
+    return [
+        RationalMatrix.from_blocks(r_tgt * da, r_src * da, [(t * da, u * da, block)])
+        for t in range(r_tgt)
+        for u in range(r_src)
+        for block in blocks
+    ]
 
 
 def _lift_semilinear_chain_map(
@@ -1145,15 +1145,12 @@ def _cochain_vector_to_hom_matrix(
     da = res.algebra.dim
     rn = res.ranks[n]
     nd = N.dim
-    grid = [[Fraction(0)] * (rn * da) for _ in range(nd)]
+    cols = []
     for t in range(rn):
         target = tuple(phi[t * nd : (t + 1) * nd])
         for k in range(da):
-            col = N.actions[k].apply(target)
-            for a, val in enumerate(col):
-                if val:
-                    grid[a][t * da + k] = val
-    return RationalMatrix(grid, ncols=rn * da)
+            cols.append(N.actions[k].apply(target))
+    return RationalMatrix.from_columns(cols, nrows=nd)
 
 
 def _hom_matrix_to_cochain_vector(

@@ -1,10 +1,17 @@
 """Exact linear algebra over the rationals.
 
-All matrices are immutable, dense, and carry ``Fraction`` entries, so every
-rank, kernel, and solution set is computed exactly.  Pivoting is
-deterministic (first nonzero entry scanning columns left to right, rows top
-to bottom) and particular solutions set free variables to zero, which makes
-results byte-for-byte reproducible across runs.
+All matrices are immutable and carry ``Fraction`` entries, so every rank,
+kernel, and solution set is computed exactly.  Storage is sparse: each row
+is a ``{column: Fraction}`` dict holding only its nonzero entries, and no
+zero is ever stored.  Products, stacking, elimination and serialization
+touch nonzeros only; ``rows``, ``row``, ``col`` and ``columns`` still hand
+out dense tuples, and ``rows`` is built once on first use and cached.
+
+Pivoting is deterministic (first nonzero entry scanning columns left to
+right, rows top to bottom) and particular solutions set free variables to
+zero.  The reduced echelon form, its pivots, the kernel and image bases and
+the particular solutions are unique for a given matrix, which makes results
+byte-for-byte reproducible across runs.
 
 Empty shapes are first-class: a 0 x n or n x 0 matrix keeps its column
 count, because boundary maps into and out of the zero module show up
@@ -19,39 +26,99 @@ every chain-map lift in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Vector = tuple  # tuple of Fraction
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
-def _frac_rows(rows: Iterable[Iterable[Scalar]]) -> tuple:
-    out = []
-    width = None
-    for row in rows:
-        frow = tuple(Fraction(x) for x in row)
-        if width is None:
-            width = len(frow)
-        elif len(frow) != width:
-            raise ValueError("ragged rows")
-        out.append(frow)
-    return tuple(out)
+
+def _sparse_row(row: Iterable[Scalar]) -> dict:
+    """Nonzero entries of a dense row; ``Fraction`` values are kept as they are."""
+    out = {}
+    for j, x in enumerate(row):
+        if type(x) is Fraction:
+            if x._numerator:
+                out[j] = x
+        elif type(x) is int:
+            if x:
+                out[j] = Fraction(x)
+        else:
+            x = Fraction(x)
+            if x._numerator:
+                out[j] = x
+    return out
+
+
+def _is_one(x: Fraction) -> bool:
+    return x._numerator == 1 and x._denominator == 1
+
+
+def _sub_multiple(row: dict, f: Fraction, top: dict) -> None:
+    """``row -= f * top`` in place, dropping entries that cancel."""
+    for j, b in top.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = -f * b
+        else:
+            y = x - f * b
+            if y._numerator:
+                row[j] = y
+            else:
+                del row[j]
+
+
+def _leads(rows: Sequence[dict]) -> dict:
+    """Row ids bucketed by leading column."""
+    buckets: dict = {}
+    for i, row in enumerate(rows):
+        if row:
+            buckets.setdefault(min(row), []).append(i)
+    return buckets
 
 
 class RationalMatrix:
-    """An immutable matrix of ``Fraction`` entries."""
+    """An immutable matrix of ``Fraction`` entries, stored as sparse rows."""
 
-    __slots__ = ("_rows", "_ncols", "_rref_cache", "_hash")
+    __slots__ = ("_rows", "_ncols", "_rref_cache", "_hash", "_dense")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]], ncols: Optional[int] = None):
-        frows = _frac_rows(rows)
-        width = len(frows[0]) if frows else (0 if ncols is None else ncols)
-        if frows and ncols is not None and ncols != width:
+        srows = []
+        width = None
+        for row in rows:
+            if not isinstance(row, (list, tuple)):
+                row = tuple(row)
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ValueError("ragged rows")
+            srows.append(_sparse_row(row))
+        if width is None:
+            width = 0 if ncols is None else ncols
+        elif ncols is not None and ncols != width:
             raise ValueError(f"ncols={ncols} disagrees with row width {width}")
-        object.__setattr__(self, "_rows", frows)
-        object.__setattr__(self, "_ncols", width)
+        self._init(srows, width)
+
+    def _init(self, rows: list, ncols: int) -> None:
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_ncols", ncols)
         object.__setattr__(self, "_rref_cache", None)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_dense", None)
+
+    @classmethod
+    def _from_sparse(cls, rows: list, ncols: int) -> "RationalMatrix":
+        """Wrap sparse rows that hold nonzero ``Fraction`` values only.
+
+        The rows become the matrix's own storage; callers must not mutate
+        them afterwards.
+        """
+        obj = object.__new__(cls)
+        obj._init(rows, ncols)
+        return obj
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("RationalMatrix is immutable")
@@ -60,12 +127,11 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        return cls._from_sparse([{i: _ONE} for i in range(n)], n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        zero = Fraction(0)
-        return cls([[zero] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._from_sparse([{} for _ in range(nrows)], ncols)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[Scalar]], nrows: Optional[int] = None) -> "RationalMatrix":
@@ -76,22 +142,52 @@ class RationalMatrix:
         height = len(cols[0])
         if any(len(c) != height for c in cols):
             raise ValueError("ragged columns")
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(height)], ncols=len(cols))
+        rows: list = [{} for _ in range(height)]
+        for j, col in enumerate(cols):
+            for i, x in _sparse_row(col).items():
+                rows[i][j] = x
+        return cls._from_sparse(rows, len(cols))
+
+    @classmethod
+    def from_blocks(cls, nrows: int, ncols: int, blocks: Iterable[tuple]) -> "RationalMatrix":
+        """An ``nrows x ncols`` matrix with each ``(r0, c0, block)`` placed at (r0, c0).
+
+        Blocks must not overlap; positions outside every block are zero.
+        """
+        rows: list = [{} for _ in range(nrows)]
+        for r0, c0, block in blocks:
+            if r0 < 0 or c0 < 0 or r0 + block.nrows > nrows or c0 + block.ncols > ncols:
+                raise ValueError(f"block {block.shape} at ({r0},{c0}) leaves {nrows}x{ncols}")
+            for a, row in enumerate(block._rows):
+                if row:
+                    target = rows[r0 + a]
+                    for b, x in row.items():
+                        target[c0 + b] = x
+        return cls._from_sparse(rows, ncols)
 
     @classmethod
     def column(cls, entries: Sequence[Scalar]) -> "RationalMatrix":
-        return cls([[x] for x in entries], ncols=1)
+        return cls.from_columns([entries])
 
     @classmethod
     def diagonal(cls, entries: Sequence[Scalar]) -> "RationalMatrix":
+        nz = _sparse_row(entries)
         n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        return cls._from_sparse([{i: nz[i]} if i in nz else {} for i in range(n)], n)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def rows(self) -> tuple:
-        return self._rows
+        """Dense rows as tuples of ``Fraction``; built on first use, then cached."""
+        if self._dense is None:
+            n = self._ncols
+            dense = tuple(
+                tuple(row.get(j, _ZERO) for j in range(n)) if row else (_ZERO,) * n
+                for row in self._rows
+            )
+            object.__setattr__(self, "_dense", dense)
+        return self._dense
 
     @property
     def nrows(self) -> int:
@@ -105,25 +201,38 @@ class RationalMatrix:
     def shape(self) -> tuple:
         return (len(self._rows), self._ncols)
 
+    def nonzero_entries(self) -> Iterator[tuple]:
+        """``(i, j, value)`` for every nonzero entry, in row-major order."""
+        for i, row in enumerate(self._rows):
+            for j in sorted(row):
+                yield i, j, row[j]
+
     def row(self, i: int) -> Vector:
-        return self._rows[i]
+        row = self._rows[i]
+        return tuple(row.get(j, _ZERO) for j in range(self._ncols))
 
     def col(self, j: int) -> Vector:
         if not 0 <= j < self._ncols:
             raise IndexError(f"column {j} out of range")
-        return tuple(r[j] for r in self._rows)
+        return tuple(row.get(j, _ZERO) for row in self._rows)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
+        if not -self._ncols <= j < self._ncols:
+            raise IndexError(f"column {j} out of range")
+        return self._rows[i].get(j % self._ncols, _ZERO)
 
     def columns(self) -> list:
-        return [self.col(j) for j in range(self._ncols)]
+        cols = [[_ZERO] * len(self._rows) for _ in range(self._ncols)]
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return [tuple(c) for c in cols]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self._rows for x in r)
+        return not any(self._rows)
 
     def is_integer(self) -> bool:
-        return all(x.denominator == 1 for r in self._rows for x in r)
+        return all(x._denominator == 1 for row in self._rows for x in row.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -132,11 +241,12 @@ class RationalMatrix:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.shape, self._rows)))
+            key = tuple(frozenset(row.items()) for row in self._rows)
+            object.__setattr__(self, "_hash", hash((self.shape, key)))
         return self._hash
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in r) for r in self._rows)
+        body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return f"RationalMatrix({self.nrows}x{self.ncols}: {body})"
 
     # -- arithmetic ---------------------------------------------------------
@@ -145,26 +255,34 @@ class RationalMatrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+    def _sub_scaled(self, other: "RationalMatrix", f: Fraction) -> "RationalMatrix":
+        """``self - f * other``."""
         self._same_shape(other)
-        return RationalMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)],
-            ncols=self._ncols,
-        )
+        out = []
+        for r1, r2 in zip(self._rows, other._rows):
+            acc = dict(r1)
+            _sub_multiple(acc, f, r2)
+            out.append(acc)
+        return RationalMatrix._from_sparse(out, self._ncols)
+
+    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._sub_scaled(other, -_ONE)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        return RationalMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)],
-            ncols=self._ncols,
-        )
+        return self._sub_scaled(other, _ONE)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([[-x for x in r] for r in self._rows], ncols=self._ncols)
+        return RationalMatrix._from_sparse(
+            [{j: -x for j, x in row.items()} for row in self._rows], self._ncols
+        )
 
     def scale(self, c: Scalar) -> "RationalMatrix":
         c = Fraction(c)
-        return RationalMatrix([[c * x for x in r] for r in self._rows], ncols=self._ncols)
+        if not c:
+            return RationalMatrix.zeros(*self.shape)
+        return RationalMatrix._from_sparse(
+            [{j: c * x for j, x in row.items()} for row in self._rows], self._ncols
+        )
 
     def __rmul__(self, c: Scalar) -> "RationalMatrix":
         return self.scale(c)
@@ -172,38 +290,45 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self._ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        zero = Fraction(0)
         orows = other._rows
-        ncols = other.ncols
         out = []
         for arow in self._rows:
-            acc = [zero] * ncols
-            for k, a in enumerate(arow):
-                if a:
-                    brow = orows[k]
-                    acc = [x + a * y if y else x for x, y in zip(acc, brow)]
-            out.append(acc)
-        return RationalMatrix(out, ncols=ncols)
+            acc: dict = {}
+            for k, a in arow.items():
+                brow = orows[k]
+                if not brow:
+                    continue
+                one = _is_one(a)
+                for j, b in brow.items():
+                    p = b if one else a * b
+                    x = acc.get(j)
+                    acc[j] = p if x is None else x + p
+            out.append({j: x for j, x in acc.items() if x._numerator})
+        return RationalMatrix._from_sparse(out, other._ncols)
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         """Matrix times column vector, returned as a tuple."""
         if len(v) != self._ncols:
             raise ValueError(f"vector length {len(v)} vs {self._ncols} columns")
-        zero = Fraction(0)
+        x = _sparse_row(v)
         out = []
         for row in self._rows:
-            s = zero
-            for a, x in zip(row, v):
-                if a and x:
-                    s += a * Fraction(x)
-            out.append(s)
+            # walk the sparser of the row and the vector, look up in the other
+            small, big = (row, x) if len(row) <= len(x) else (x, row)
+            s = None
+            for j, a in small.items():
+                c = big.get(j)
+                if c is not None:
+                    s = a * c if s is None else s + a * c
+            out.append(_ZERO if s is None else s)
         return tuple(out)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self._rows[i][j] for i in range(self.nrows)] for j in range(self._ncols)],
-            ncols=self.nrows,
-        )
+        cols: list = [{} for _ in range(self._ncols)]
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return RationalMatrix._from_sparse(cols, self.nrows)
 
     def __pow__(self, k: int) -> "RationalMatrix":
         if self.nrows != self._ncols:
@@ -229,11 +354,12 @@ class RationalMatrix:
         nrows = mats[0].nrows
         if any(m.nrows != nrows for m in mats):
             raise ValueError("row counts differ")
-        total = sum(m.ncols for m in mats)
-        return RationalMatrix(
-            [sum((list(m._rows[i]) for m in mats), []) for i in range(nrows)],
-            ncols=total,
-        )
+        blocks = []
+        c0 = 0
+        for m in mats:
+            blocks.append((0, c0, m))
+            c0 += m.ncols
+        return RationalMatrix.from_blocks(nrows, c0, blocks)
 
     @staticmethod
     def vstack(mats: Sequence["RationalMatrix"]) -> "RationalMatrix":
@@ -245,66 +371,99 @@ class RationalMatrix:
         rows = []
         for m in mats:
             rows.extend(m._rows)
-        return RationalMatrix(rows, ncols=ncols)
+        return RationalMatrix._from_sparse(rows, ncols)
 
     @staticmethod
     def block_diag(mats: Sequence["RationalMatrix"]) -> "RationalMatrix":
-        nrows = sum(m.nrows for m in mats)
-        ncols = sum(m.ncols for m in mats)
-        out = [[Fraction(0)] * ncols for _ in range(nrows)]
+        blocks = []
         r0 = c0 = 0
         for m in mats:
-            for i, row in enumerate(m._rows):
-                for j, x in enumerate(row):
-                    if x:
-                        out[r0 + i][c0 + j] = x
+            blocks.append((r0, c0, m))
             r0 += m.nrows
             c0 += m.ncols
-        return RationalMatrix(out, ncols=ncols)
+        return RationalMatrix.from_blocks(r0, c0, blocks)
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
-        ncols = self._ncols * other.ncols
+        nb = other.ncols
         out = []
         for arow in self._rows:
             for brow in other._rows:
-                out.append([a * b for a in arow for b in brow])
-        return RationalMatrix(out, ncols=ncols)
+                out.append(
+                    {ja * nb + jb: a * b for ja, a in arow.items() for jb, b in brow.items()}
+                )
+        return RationalMatrix._from_sparse(out, self._ncols * nb)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self._rows[i][j] for j in col_idx] for i in row_idx], ncols=len(col_idx)
-        )
+        n = self._ncols
+        where: dict = {}
+        for t, j in enumerate(col_idx):
+            if not -n <= j < n:
+                raise IndexError(f"column {j} out of range")
+            where.setdefault(j % n, []).append(t)
+        out = []
+        for i in row_idx:
+            new = {}
+            for j, x in self._rows[i].items():
+                for t in where.get(j, ()):
+                    new[t] = x
+            out.append(new)
+        return RationalMatrix._from_sparse(out, len(col_idx))
 
     # -- elimination ----------------------------------------------------------
 
     def _rref(self) -> tuple:
-        """Reduced row echelon form with the fixed pivot rule; cached."""
+        """Reduced row echelon form with the fixed pivot rule; cached.
+
+        Returns the nonzero rows of the reduced form, as sparse dicts in
+        pivot order, and the pivot columns.  At column c the pivot is the
+        first row at or below the current one with a nonzero at c, as in
+        textbook Gauss-Jordan with row swaps.  Rows below the current one
+        are zero left of c, so they are found by their leading column
+        instead of by scanning every row.
+        """
         if self._rref_cache is not None:
             return self._rref_cache
-        rows = [list(r) for r in self._rows]
-        m, n = self.shape
+        rows = [dict(row) for row in self._rows]
+        order = list(range(len(rows)))  # row id at each position
+        pos = list(order)  # position of each row id
+        buckets = _leads(rows)
+        heap = list(buckets)
+        heapify(heap)
+        pivot_rows: list = []
         pivots = []
-        r = 0
-        for c in range(n):
-            if r == m:
-                break
-            pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-            if pr is None:
-                continue
-            if pr != r:
-                rows[r], rows[pr] = rows[pr], rows[r]
-            pv = rows[r][c]
-            if pv != 1:
-                inv = Fraction(1) / pv
-                rows[r] = [x * inv for x in rows[r]]
-            top = rows[r]
-            for i in range(m):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b if b else a for a, b in zip(rows[i], top)]
+        while heap:
+            c = heappop(heap)
+            cands = buckets.pop(c)
+            p = min(cands, key=pos.__getitem__)
+            r = len(pivots)
+            q, pp = order[r], pos[p]
+            order[r], order[pp] = p, q
+            pos[p], pos[q] = r, pp
+            top = rows[p]
+            pv = top[c]
+            if not _is_one(pv):
+                inv = _ONE / pv
+                top = rows[p] = {j: x * inv for j, x in top.items()}
+            for i in pivot_rows:
+                f = rows[i].get(c)
+                if f is not None:
+                    _sub_multiple(rows[i], f, top)
+            for i in cands:
+                if i == p:
+                    continue
+                row = rows[i]
+                _sub_multiple(row, row[c], top)
+                if row:
+                    lead = min(row)
+                    bucket = buckets.get(lead)
+                    if bucket is None:
+                        buckets[lead] = [i]
+                        heappush(heap, lead)
+                    else:
+                        bucket.append(i)
+            pivot_rows.append(p)
             pivots.append(c)
-            r += 1
-        cache = (tuple(tuple(row) for row in rows), tuple(pivots))
+        cache = (tuple(rows[i] for i in pivot_rows), tuple(pivots))
         object.__setattr__(self, "_rref_cache", cache)
         return cache
 
@@ -314,45 +473,54 @@ class RationalMatrix:
     def det(self) -> Fraction:
         if self.nrows != self._ncols:
             raise ValueError("determinant of a non-square matrix")
-        rows = [list(r) for r in self._rows]
-        n = self.nrows
+        rows = [dict(row) for row in self._rows]
+        order = list(range(len(rows)))
+        pos = list(order)
+        buckets = _leads(rows)
         sign = 1
-        prod = Fraction(1)
-        for c in range(n):
-            pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
-            if pr is None:
-                return Fraction(0)
-            if pr != c:
-                rows[c], rows[pr] = rows[pr], rows[c]
+        prod = _ONE
+        for c in range(self._ncols):
+            cands = buckets.pop(c, None)
+            if not cands:
+                return _ZERO
+            p = min(cands, key=pos.__getitem__)
+            q, pp = order[c], pos[p]
+            if pp != c:
+                order[c], order[pp] = p, q
+                pos[p], pos[q] = c, pp
                 sign = -sign
-            pv = rows[c][c]
+            top = rows[p]
+            pv = top[c]
             prod *= pv
-            inv = Fraction(1) / pv
-            for i in range(c + 1, n):
-                if rows[i][c] != 0:
-                    f = rows[i][c] * inv
-                    rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[c])]
+            inv = _ONE / pv
+            for i in cands:
+                if i == p:
+                    continue
+                row = rows[i]
+                _sub_multiple(row, row[c] * inv, top)
+                if row:
+                    buckets.setdefault(min(row), []).append(i)
         return sign * prod
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        entries = []
-        for i, row in enumerate(self._rows):
-            for j, x in enumerate(row):
-                if x:
-                    entries.append([i, j, str(x)])
+        entries = [[i, j, str(x)] for i, j, x in self.nonzero_entries()]
         return {"rows": self.nrows, "cols": self._ncols, "entries": entries}
 
     @classmethod
     def from_json(cls, data: dict) -> "RationalMatrix":
         nrows, ncols = int(data["rows"]), int(data["cols"])
-        grid = [[Fraction(0)] * ncols for _ in range(nrows)]
+        rows: list = [{} for _ in range(nrows)]
         for i, j, val in data.get("entries", []):
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise ValueError(f"entry ({i},{j}) outside {nrows}x{ncols}")
-            grid[i][j] = Fraction(val)
-        return cls(grid, ncols=ncols)
+            x = Fraction(val)
+            if x._numerator:
+                rows[i][j] = x
+            else:
+                rows[i].pop(j, None)
+        return cls._from_sparse(rows, ncols)
 
 
 def rank_kernel_image(M: RationalMatrix) -> tuple:
@@ -366,18 +534,18 @@ def rank_kernel_image(M: RationalMatrix) -> tuple:
     rref_rows, pivots = M._rref()
     n = M.ncols
     pivot_set = set(pivots)
-    kernel = []
+    kernel = {}
     for f in range(n):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            if rref_rows[i][f]:
-                v[pc] = -rref_rows[i][f]
-        kernel.append(tuple(v))
+        if f not in pivot_set:
+            v = [_ZERO] * n
+            v[f] = _ONE
+            kernel[f] = v
+    for row, pc in zip(rref_rows, pivots):
+        for f, x in row.items():
+            if f != pc:
+                kernel[f][pc] = -x
     image = [M.col(c) for c in pivots]
-    return len(pivots), kernel, image
+    return len(pivots), [tuple(v) for v in kernel.values()], image
 
 
 def solve_matrix(A: RationalMatrix, B: RationalMatrix) -> Optional[RationalMatrix]:
@@ -393,13 +561,12 @@ def solve_matrix(A: RationalMatrix, B: RationalMatrix) -> Optional[RationalMatri
         return RationalMatrix.zeros(0, B.ncols) if B.is_zero() else None
     aug = RationalMatrix.hstack([A, B])
     rref_rows, pivots = aug._rref()
-    if any(c >= n for c in pivots):
+    if pivots and pivots[-1] >= n:
         return None
-    X = [[Fraction(0)] * B.ncols for _ in range(n)]
-    for i, pc in enumerate(pivots):
-        for j in range(B.ncols):
-            X[pc][j] = rref_rows[i][n + j]
-    return RationalMatrix(X, ncols=B.ncols)
+    X: list = [{} for _ in range(n)]
+    for row, pc in zip(rref_rows, pivots):
+        X[pc] = {j - n: x for j, x in row.items() if j >= n}
+    return RationalMatrix._from_sparse(X, B.ncols)
 
 
 def solve_vector(A: RationalMatrix, b: Sequence[Scalar]) -> Optional[Vector]:
@@ -412,38 +579,58 @@ def solve_vector(A: RationalMatrix, b: Sequence[Scalar]) -> Optional[Vector]:
 class SpanTracker:
     """Incremental membership test for a growing rational span.
 
-    Rows are kept in echelon form (sorted by pivot column).  ``add`` returns
-    True when the vector enlarged the span; ``contains`` tests membership
-    without modification.  Insertion order is the caller's, which keeps
-    greedy basis selection deterministic.
+    Rows are kept in echelon form, each normalized at its pivot (its first
+    nonzero column).  ``add`` returns True when the vector enlarged the span;
+    ``contains`` tests membership without modification.  Insertion order is
+    the caller's, which keeps greedy basis selection deterministic.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._rows: list = []  # list of (pivot_col, row list), sorted by pivot
+        self._rows: dict = {}  # pivot column -> sparse row
 
-    def _reduce(self, v: Sequence[Scalar]) -> list:
-        w = [Fraction(x) for x in v]
-        if len(w) != self.dim:
-            raise ValueError(f"vector length {len(w)}, expected {self.dim}")
-        for pc, row in self._rows:
-            if w[pc]:
-                f = w[pc]
-                w = [a - f * b if b else a for a, b in zip(w, row)]
+    def _reduce(self, v: Sequence[Scalar]) -> dict:
+        if len(v) != self.dim:
+            raise ValueError(f"vector length {len(v)}, expected {self.dim}")
+        w = _sparse_row(v)
+        piv = self._rows
+        # reduce by the rows whose pivots w hits, lowest pivot first; a row
+        # only adds entries right of its pivot, so a heap visits each once
+        heap = [j for j in w if j in piv]
+        heapify(heap)
+        while heap:
+            pc = heappop(heap)
+            f = w.get(pc)
+            if f is None:
+                continue
+            row = piv[pc]
+            for j, b in row.items():
+                x = w.get(j)
+                if x is None:
+                    w[j] = -f * b
+                    if j in piv:
+                        heappush(heap, j)
+                else:
+                    y = x - f * b
+                    if y._numerator:
+                        w[j] = y
+                    else:
+                        del w[j]
         return w
 
     def contains(self, v: Sequence[Scalar]) -> bool:
-        return all(x == 0 for x in self._reduce(v))
+        return not self._reduce(v)
 
     def add(self, v: Sequence[Scalar]) -> bool:
         w = self._reduce(v)
-        pc = next((i for i, x in enumerate(w) if x != 0), None)
-        if pc is None:
+        if not w:
             return False
-        inv = Fraction(1) / w[pc]
-        w = [x * inv for x in w]
-        self._rows.append((pc, w))
-        self._rows.sort(key=lambda t: t[0])
+        pc = min(w)
+        pv = w[pc]
+        if not _is_one(pv):
+            inv = _ONE / pv
+            w = {j: x * inv for j, x in w.items()}
+        self._rows[pc] = w
         return True
 
     @property
@@ -474,7 +661,12 @@ def extend_to_basis(
 
 def vec(M: RationalMatrix) -> Vector:
     """Row-major flattening."""
-    return tuple(x for r in M.rows for x in r)
+    n = M.ncols
+    out = [_ZERO] * (M.nrows * n)
+    for i, row in enumerate(M._rows):
+        for j, x in row.items():
+            out[i * n + j] = x
+    return tuple(out)
 
 
 def unvec(v: Sequence[Scalar], shape: tuple) -> RationalMatrix:
@@ -520,14 +712,23 @@ def solve_in_subspace(
     if B.nrows * B.ncols == 0:
         # every combination satisfies a zero-size equation; pick zero
         return RationalMatrix.zeros(*shape0)
-    S = RationalMatrix.from_columns([vec(im) for im in images])
-    coeffs = solve_vector(S, vec(B))
-    if coeffs is None:
+    # the system sum_k c_k vec(images[k]) = vec(B), one row per entry of B,
+    # with vec(B) as the last column
+    width = B.ncols
+    k_b = len(images)
+    rows: list = [{} for _ in range(B.nrows * width)]
+    for k, im in enumerate(images + [B]):
+        for i, row in enumerate(im._rows):
+            for j, x in row.items():
+                rows[i * width + j][k] = x
+    rref_rows, pivots = RationalMatrix._from_sparse(rows, k_b + 1)._rref()
+    if pivots and pivots[-1] == k_b:
         return None
     X = RationalMatrix.zeros(*shape0)
-    for c, m in zip(coeffs, mats):
-        if c:
-            X = X + m.scale(c)
+    for row, pc in zip(rref_rows, pivots):
+        c = row.get(k_b)
+        if c is not None:
+            X = X + mats[pc].scale(c)
     return X
 
 
@@ -623,14 +824,3 @@ def smith_normal_form(M: RationalMatrix) -> tuple:
         RationalMatrix(L, ncols=m),
         RationalMatrix(R, ncols=n),
     )
-
-
-def elementary_divisors(M: RationalMatrix) -> list:
-    """Nonzero diagonal entries of the Smith normal form, in order."""
-    D, _, _ = smith_normal_form(M)
-    out = []
-    for i in range(min(D.nrows, D.ncols)):
-        d = D.entry(i, i)
-        if d:
-            out.append(int(d))
-    return out

@@ -21,7 +21,6 @@ happen to vanish where there is no room.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from wallforge.complexes import (
@@ -245,18 +244,17 @@ def _free_source_hom_basis(
 ) -> List[RationalMatrix]:
     """Basis of the module maps A**rank -> N, one per (generator, N-basis) pair."""
     da = A.dim
-    out = []
-    for u in range(rank):
-        for w in range(tgt_dim):
-            wvec = tuple(1 if a == w else 0 for a in range(tgt_dim))
-            grid = [[Fraction(0)] * (rank * da) for _ in range(tgt_dim)]
-            for k in range(da):
-                col = tgt_actions[k].apply(wvec)
-                for a, val in enumerate(col):
-                    if val:
-                        grid[a][u * da + k] = val
-            out.append(RationalMatrix(grid, ncols=rank * da))
-    return out
+    # the map sending generator u to basis vector w, on the generator's slots:
+    # column k is b_k . w
+    blocks = [
+        RationalMatrix.from_columns([act.col(w) for act in tgt_actions], nrows=tgt_dim)
+        for w in range(tgt_dim)
+    ]
+    return [
+        RationalMatrix.from_blocks(tgt_dim, rank * da, [(0, u * da, block)])
+        for u in range(rank)
+        for block in blocks
+    ]
 
 
 def module_hom_basis(
@@ -584,7 +582,7 @@ def total_complex(W: WallAssembly) -> ChainComplex:
         if dims.get(n, 0) == 0 or dims.get(n - 1, 0) == 0:
             continue
         tgt_offsets = {(q, j): off for q, j, off in _spot_offsets(W, n - 1)}
-        grid = [[Fraction(0)] * dims[n] for _ in range(dims[n - 1])]
+        blocks = []
         for q, j, col_off in _spot_offsets(W, n):
             start = 0 if j >= 1 else 1
             for k in range(start, q + 1):
@@ -594,12 +592,8 @@ def total_complex(W: WallAssembly) -> ChainComplex:
                 M = W.map(k, q, j)
                 if M.is_zero():
                     continue
-                row_off = tgt_offsets[key]
-                for a, row in enumerate(M.rows):
-                    for b, val in enumerate(row):
-                        if val:
-                            grid[row_off + a][col_off + b] = val
-        diffs[n] = RationalMatrix(grid, ncols=dims[n])
+                blocks.append((tgt_offsets[key], col_off, M))
+        diffs[n] = RationalMatrix.from_blocks(dims[n - 1], dims[n], blocks)
     T = ChainComplex(dims, diffs)
     T.require_valid()
     return T
@@ -653,16 +647,12 @@ def augmentation_quasi_iso(W: WallAssembly) -> Tuple[ChainMap, WallHomologyCerti
     for n in range(W.q_max + 1):
         if S.dim(n) == 0 or T.dim(n) == 0:
             continue
-        grid = [[Fraction(0)] * T.dim(n) for _ in range(S.dim(n))]
-        for q, j, off in _spot_offsets(W, n):
-            if j != 0 or q != n:
-                continue
-            aug = W.column(q).augmentation
-            for a, row in enumerate(aug.rows):
-                for b, val in enumerate(row):
-                    if val:
-                        grid[a][off + b] = val
-        components[n] = RationalMatrix(grid, ncols=T.dim(n))
+        blocks = [
+            (0, off, W.column(q).augmentation)
+            for q, j, off in _spot_offsets(W, n)
+            if j == 0 and q == n
+        ]
+        components[n] = RationalMatrix.from_blocks(S.dim(n), T.dim(n), blocks)
     eps = ChainMap(T, S, components)
     eps.require_chain_map()
     cone = mapping_cone(eps)

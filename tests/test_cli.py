@@ -447,6 +447,24 @@ class TestVerifyReplay:
         code, out, _ = _run(capsys, ["verify-replay", str(paths["radius"])])
         assert code == 2
 
+    def test_missing_input_is_invalid(self, capsys, tmp_path):
+        paths = _make_dumps(tmp_path, capsys)
+        data = json.loads(paths["radius"].read_text())
+        del data["inputs"]["p"]
+        paths["radius"].write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+        code, out, _ = _run(capsys, ["verify-replay", str(paths["radius"])])
+        assert code == 1
+        assert "INVALID" in out and "FAIL" not in out
+
+    def test_input_rejected_by_the_job_is_invalid(self, capsys, tmp_path):
+        paths = _make_dumps(tmp_path, capsys)
+        data = json.loads(paths["radius"].read_text())
+        data["inputs"]["p"] = 4
+        paths["radius"].write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+        code, out, _ = _run(capsys, ["verify-replay", str(paths["radius"])])
+        assert code == 1
+        assert "INVALID" in out and "prime" in out
+
     def test_empty_and_junk_dumps_are_invalid(self, capsys, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text("{}")

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wallforge.complexes import (
     CertificateError,
@@ -22,7 +24,7 @@ from wallforge.complexes import (
     truncate_canonical,
     validate_complex,
 )
-from wallforge.linalg import RationalMatrix
+from wallforge.linalg import RationalMatrix, rank_kernel_image
 
 
 def _interval_complex():
@@ -243,3 +245,31 @@ def test_hom_constrained_rejects_non_subcomplex():
     }
     with pytest.raises(CertificateError):
         hom_constrained(C, bases, 1)
+
+
+@st.composite
+def _complexes(draw):
+    """Random complexes with d o d = 0: each d_{n+1} maps into ker d_n."""
+    lo = draw(st.integers(-2, 1))
+    dims = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    entry = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)])
+    diffs = {}
+    for k in range(1, len(dims)):
+        src, tgt = dims[k], dims[k - 1]
+        prev = diffs.get(lo + k - 1)
+        if prev is None:
+            kernel = [tuple(int(a == i) for a in range(tgt)) for i in range(tgt)]
+        else:
+            _, kernel, _ = rank_kernel_image(prev)
+        if not kernel or not src:
+            continue
+        coeffs = draw(st.lists(st.lists(entry, min_size=src, max_size=src),
+                               min_size=len(kernel), max_size=len(kernel)))
+        K = RationalMatrix.from_columns(kernel)
+        diffs[lo + k] = K @ RationalMatrix(coeffs, ncols=src)
+    return ChainComplex({lo + k: d for k, d in enumerate(dims)}, diffs)
+
+
+@given(_complexes())
+def test_homology_dims_match_homology_records(C):
+    assert homology_dims(C) == {n: homology(C, n).dim for n in C.degrees()}
