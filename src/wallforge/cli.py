@@ -73,6 +73,17 @@ class _UsageError(ValueError):
     """Raised in place of argparse's SystemExit so main can return 1."""
 
 
+class _InputError(ValueError):
+    """Job inputs that are missing, mistyped or out of the job's range."""
+
+
+class _RecordedInputs(dict):
+    """A dump's recorded inputs, where a missing field is an input error."""
+
+    def __missing__(self, key):
+        raise _InputError(f"missing field {key!r}")
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One resolved invocation: which pipeline, which files, which knobs."""
@@ -106,15 +117,15 @@ def _parsed(builder, data, what: str):
     """Run a from_json style builder, folding shape errors into ValueError."""
     try:
         return builder(data)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed {what}: {exc!r}") from exc
+    except (KeyError, TypeError, IndexError, ValueError, ZeroDivisionError) as exc:
+        raise _InputError(f"malformed {what}: {exc!r}") from exc
 
 
 def _as_int(value, what: str, minimum: Optional[int] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise _InputError(f"{what} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ValueError(f"{what} must be at least {minimum}, got {value}")
+        raise _InputError(f"{what} must be at least {minimum}, got {value}")
     return value
 
 
@@ -122,7 +133,7 @@ def _as_fraction(value, what: str) -> Fraction:
     try:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{what} is not a rational number: {value!r}") from exc
+        raise _InputError(f"{what} is not a rational number: {value!r}") from exc
 
 
 def _check_prime(p: int) -> int:
@@ -130,7 +141,7 @@ def _check_prime(p: int) -> int:
     d = 2
     while d * d <= p:
         if p % d == 0:
-            raise ValueError(f"p must be prime, got {p}")
+            raise _InputError(f"p must be prime, got {p}")
         d += 1
     return p
 
@@ -185,7 +196,7 @@ def _group_by_name(name) -> FiniteGroupTable:
         n = int(label[1:])
         if n >= 1:
             return FiniteGroupTable.cyclic(n)
-    raise ValueError(f"unknown group {label!r}; use Z<n>, S3, D4, or Q8")
+    raise _InputError(f"unknown group {label!r}; use Z<n>, S3, D4, or Q8")
 
 
 def _augmentation_ideal(
@@ -217,7 +228,7 @@ def _job_ce_homology(inputs: dict) -> dict:
     g = _parsed(LieAlgebra.from_json, inputs["lie"], "Lie algebra")
     report = validate_lie(g)
     if not report.ok:
-        raise ValueError(
+        raise _InputError(
             "structure constants rejected: "
             f"antisymmetry {list(report.antisymmetry)}, jacobi {list(report.jacobi)}"
         )
@@ -234,7 +245,7 @@ def _job_ce_homology(inputs: dict) -> dict:
         )
         full = validate_lie(g, M)
         if not full.ok:
-            raise ValueError(f"module action rejected: {list(full.module)}")
+            raise _InputError(f"module action rejected: {list(full.module)}")
     C = ce_complex(g, M)
     C.require_valid()
     betti = lie_homology(g, M)
@@ -300,7 +311,7 @@ def _job_wall_demo(inputs: dict) -> dict:
     degrees = _as_int(inputs["degrees"], "degrees", minimum=1)
     Q = _group_by_name(inputs["group"])
     if Q.order < 2:
-        raise ValueError("the demo needs a nontrivial group")
+        raise _InputError("the demo needs a nontrivial group")
     A = AlgebraPresentation.group_algebra(Q)
     ideal, incl = _augmentation_ideal(A)
     columns = [
@@ -321,23 +332,28 @@ def _job_wall_demo(inputs: dict) -> dict:
 def _job_wall_build(inputs: dict) -> dict:
     job = inputs["job"]
     if not isinstance(job, dict):
-        raise ValueError("the job description must be a JSON object")
+        raise _InputError("the job description must be a JSON object")
     if job.get("schema", SCHEMA) != SCHEMA:
-        raise ValueError(f"unsupported schema tag {job.get('schema')!r}")
-    A = _parsed(AlgebraPresentation.from_json, job["algebra"], "algebra")
+        raise _InputError(f"unsupported schema tag {job.get('schema')!r}")
+    A = _parsed(AlgebraPresentation.from_json, job.get("algebra"), "algebra")
     module_docs = job.get("modules")
     if not isinstance(module_docs, list) or not module_docs:
-        raise ValueError("the job needs a nonempty list of modules")
+        raise _InputError("the job needs a nonempty list of modules")
     modules = [_module_from_json(A, doc) for doc in module_docs]
-    maps = [_matrix_from_json(doc) for doc in job.get("maps", [])]
+    map_docs = job.get("maps", [])
+    if not isinstance(map_docs, list):
+        raise _InputError("the job's maps must be a list")
+    maps = [_matrix_from_json(doc) for doc in map_docs]
     if len(maps) != len(modules) - 1:
-        raise ValueError(
+        raise _InputError(
             f"{len(modules)} modules need {len(modules) - 1} maps, got {len(maps)}"
         )
     lengths = job.get("lengths")
     if not isinstance(lengths, list) or len(lengths) != len(modules):
-        raise ValueError("the job needs one column length per module")
+        raise _InputError("the job needs one column length per module")
     order = job.get("order", "forward")
+    if order not in ("forward", "reversed"):
+        raise _InputError(f"order must be 'forward' or 'reversed', got {order!r}")
     resolutions = [
         free_resolution(A, M, _as_int(L, "column length", minimum=0), order=order)
         for M, L in zip(modules, lengths)
@@ -396,11 +412,11 @@ def _job_pushout_check(inputs: dict) -> dict:
     if convex:
         shared_radius = _as_int(inputs["shared_radius"], "shared radius", minimum=0)
         if shared_radius > radius:
-            raise ValueError("the shared ball must sit inside the ambient ball")
+            raise _InputError("the shared ball must sit inside the ambient ball")
         shared = FiniteSubtree.ball(p, shared_radius)
     else:
         if radius < 1:
-            raise ValueError("the non-convex control needs radius at least 1")
+            raise _InputError("the non-convex control needs radius at least 1")
         nb = TreeVertex.base(p).neighbors()
         shared = FiniteSubtree.from_vertices(p, [nb[0], nb[1]])
     po = pushout_complex(ambient, shared, copies)
@@ -442,7 +458,7 @@ def _job_cosimplicial_check(inputs: dict) -> dict:
     q = _as_int(inputs["q"], "q")
     j_max = _as_int(inputs["j_max"], "j_max", minimum=0)
     if shared_radius > radius:
-        raise ValueError("the shared ball must sit inside the ambient ball")
+        raise _InputError("the shared ball must sit inside the ambient ball")
     ambient = FiniteSubtree.ball(p, radius)
     shared = FiniteSubtree.ball(p, shared_radius)
     report = cosimplicial_row_check(ambient, shared, q, j_max)
@@ -496,19 +512,19 @@ def _job_bch_verify(inputs: dict) -> dict:
     n_max = _as_int(inputs["n_max"], "n_max", minimum=1)
     pairs = inputs["pairs"]
     if not isinstance(pairs, list) or not pairs:
-        raise ValueError("need a nonempty list of matrix pairs")
+        raise _InputError("need a nonempty list of matrix pairs")
     kappa = bch_constants(1, p).kappa
     results = []
     for pos, pair in enumerate(pairs):
         name = str(pair.get("name", f"pair{pos}")) if isinstance(pair, dict) else ""
         if not isinstance(pair, dict) or "x" not in pair or "y" not in pair:
-            raise ValueError(f"pair {pos} must carry matrices 'x' and 'y'")
+            raise _InputError(f"pair {pos} must carry matrices 'x' and 'y'")
         x = _matrix_from_json(pair["x"])
         y = _matrix_from_json(pair["y"])
         for label, m in (("x", x), ("y", y)):
             mv = _min_valuation(m, p)
             if mv is not None and mv < kappa:
-                raise ValueError(
+                raise _InputError(
                     f"{name}.{label} has an entry of valuation {mv}; "
                     f"the powerful condition needs at least {kappa}"
                 )
@@ -596,7 +612,7 @@ def _job_norms(inputs: dict) -> dict:
     expansion_degree = _as_int(inputs["expansion_degree"], "expansion degree", minimum=1)
     exponent = _as_fraction(inputs["radius"], "radius exponent")
     if exponent >= 0:
-        raise ValueError("the radius exponent must be negative (a radius below 1)")
+        raise _InputError("the radius exponent must be negative (a radius below 1)")
     rho = PExponent.of(p, exponent)
     rng = random.Random(seed)
     pair_rows = []
@@ -700,7 +716,7 @@ def _ext_group_action(
     key = (str(group), rank)
     if key not in _EXT_ACTIONS:
         known = sorted(f"{g}/rank{r}" for g, r in _EXT_ACTIONS)
-        raise ValueError(f"no configured action for {key}; known: {', '.join(known)}")
+        raise _InputError(f"no configured action for {key}; known: {', '.join(known)}")
     Q = _group_by_name(group)
     spec = _EXT_ACTIONS[key]
     generators: Dict[int, RationalMatrix] = {}
@@ -760,24 +776,24 @@ def _ext_module_data(
         return scalar_only(rank), list(gen_mats)
     if label == "nilpotent":
         if rank != 1:
-            raise ValueError("the nilpotent module is configured for rank 1 only")
+            raise _InputError("the nilpotent module is configured for rank 1 only")
         base = [
             RationalMatrix.identity(2),
             RationalMatrix([[0, 1], [0, 0]], ncols=2),
         ]
         ops = [RationalMatrix.diagonal([1, m.entry(0, 0)]) for m in gen_mats]
         return base, ops
-    raise ValueError(f"unknown module label {label!r}")
+    raise _InputError(f"unknown module label {label!r}")
 
 
 def _job_ext_crossed(inputs: dict) -> dict:
     rank = _as_int(inputs["rank"], "rank", minimum=1)
     if rank > 2:
-        raise ValueError("configured actions stop at rank 2")
+        raise _InputError("configured actions stop at rank 2")
     n_max = _as_int(inputs["n_max"], "n_max", minimum=0)
     labels = inputs["modules"]
     if not isinstance(labels, list) or not labels:
-        raise ValueError("need a nonempty list of module labels")
+        raise _InputError("need a nonempty list of module labels")
     Q, gen_mats = _ext_group_action(inputs["group"], rank)
     A = AlgebraPresentation.exterior_algebra(rank)
     action = [_exterior_extension(rank, m) for m in gen_mats]
@@ -960,21 +976,22 @@ def _replay_check(data: dict, fresh: dict) -> None:
 def verify_replay(paths: Sequence[str]) -> int:
     """Re-audit dumps; 0 all good, 1 malformed dump, 2 broken certificate.
 
-    A dump is malformed when it cannot be read, lacks its envelope, or its
-    recorded inputs are missing, mistyped or rejected by the job (a
-    ``ValueError``, ``KeyError`` or ``TypeError`` while recomputing).  Any
-    other failure, including a stored certificate that does not hold or
-    does not parse, breaks the certificate.
+    A dump is malformed when it cannot be read, lacks its envelope, or the
+    job's own input checks refuse its recorded inputs: a missing field, a
+    mistyped or out-of-range value.  Any other failure, including one from
+    deeper in the recomputation and a stored certificate that does not hold
+    or does not parse, breaks the certificate.
     """
 
     def work(path: str) -> Tuple[str, str, str]:
         try:
             data = _load_json(path)
             _replay_validate(data)
-            fresh = _JOBS[data["kind"]](data["inputs"])
-        except KeyError as exc:
-            return ("invalid", path, f"missing field {exc}")
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
+            return ("invalid", path, str(exc))
+        try:
+            fresh = _JOBS[data["kind"]](_RecordedInputs(data["inputs"]))
+        except _InputError as exc:
             return ("invalid", path, str(exc))
         except Exception as exc:
             return ("fail", path, str(exc))

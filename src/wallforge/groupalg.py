@@ -1324,25 +1324,19 @@ def hopf_untwist(Q: FiniteGroupTable, module_mats: Sequence[RationalMatrix]) -> 
     if phi @ phi_inv != ident or phi_inv @ phi != ident:
         raise CertificateError("antipode inverse failed to invert the untwisting map")
 
+    def placed(h: int, block: RationalMatrix) -> RationalMatrix:
+        """``block`` at every (h g, g) position of the g-major grid."""
+        return RationalMatrix.from_blocks(
+            dim, dim, [(Q.mul(h, g) * m, g * m, block) for g in range(n)]
+        )
+
+    ident_m = RationalMatrix.identity(m)
+
     def regular_only(h: int) -> RationalMatrix:
-        grid = [[Fraction(0)] * dim for _ in range(dim)]
-        for g in range(n):
-            tg = Q.mul(h, g)
-            for a in range(m):
-                grid[tg * m + a][g * m + a] = Fraction(1)
-        return RationalMatrix(grid, ncols=dim)
+        return placed(h, ident_m)
 
     def diagonal(h: int) -> RationalMatrix:
-        grid = [[Fraction(0)] * dim for _ in range(dim)]
-        U = module_mats[h]
-        for g in range(n):
-            tg = Q.mul(h, g)
-            for a in range(m):
-                for b in range(m):
-                    val = U.entry(a, b)
-                    if val:
-                        grid[tg * m + a][g * m + b] = val
-        return RationalMatrix(grid, ncols=dim)
+        return placed(h, module_mats[h])
 
     for h in range(n):
         if phi @ regular_only(h) != diagonal(h) @ phi:
@@ -1376,19 +1370,14 @@ def koszul_commuting_operators(operators: Sequence[RationalMatrix]) -> List[int]
     diffs = {}
     for j in range(1, s + 1):
         tgt_index = {S: i for i, S in enumerate(subsets[j - 1])}
-        grid = [[Fraction(0)] * dims[j] for _ in range(dims[j - 1])]
+        # each (face, cell) pair owns its own block, so no two blocks overlap
+        blocks = []
         for s_idx, S in enumerate(subsets[j]):
             for t in range(j):
-                sign = (-1) ** t
                 dropped = S[:t] + S[t + 1 :]
-                base_row = tgt_index[dropped] * m
-                block = phis[S[t]]
-                for a in range(m):
-                    for b in range(m):
-                        val = block.entry(a, b)
-                        if val:
-                            grid[base_row + a][s_idx * m + b] += sign * val
-        diffs[j] = RationalMatrix(grid, ncols=dims[j])
+                block = phis[S[t]] if t % 2 == 0 else -phis[S[t]]
+                blocks.append((tgt_index[dropped] * m, s_idx * m, block))
+        diffs[j] = RationalMatrix.from_blocks(dims[j - 1], dims[j], blocks)
     cx = ChainComplex(dims, diffs)
     table = homology_dims(cx)
     return [table.get(j, 0) for j in range(s + 1)]

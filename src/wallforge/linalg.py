@@ -255,21 +255,41 @@ class RationalMatrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
-    def _sub_scaled(self, other: "RationalMatrix", f: Fraction) -> "RationalMatrix":
-        """``self - f * other``."""
+    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._same_shape(other)
         out = []
         for r1, r2 in zip(self._rows, other._rows):
             acc = dict(r1)
-            _sub_multiple(acc, f, r2)
+            for j, b in r2.items():
+                x = acc.get(j)
+                if x is None:
+                    acc[j] = b
+                else:
+                    y = x + b
+                    if y._numerator:
+                        acc[j] = y
+                    else:
+                        del acc[j]
             out.append(acc)
         return RationalMatrix._from_sparse(out, self._ncols)
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._sub_scaled(other, -_ONE)
-
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._sub_scaled(other, _ONE)
+        self._same_shape(other)
+        out = []
+        for r1, r2 in zip(self._rows, other._rows):
+            acc = dict(r1)
+            for j, b in r2.items():
+                x = acc.get(j)
+                if x is None:
+                    acc[j] = -b
+                else:
+                    y = x - b
+                    if y._numerator:
+                        acc[j] = y
+                    else:
+                        del acc[j]
+            out.append(acc)
+        return RationalMatrix._from_sparse(out, self._ncols)
 
     def __neg__(self) -> "RationalMatrix":
         return RationalMatrix._from_sparse(
@@ -513,6 +533,8 @@ class RationalMatrix:
         nrows, ncols = int(data["rows"]), int(data["cols"])
         rows: list = [{} for _ in range(nrows)]
         for i, j, val in data.get("entries", []):
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"entry index ({i!r},{j!r}) is not a pair of integers")
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise ValueError(f"entry ({i},{j}) outside {nrows}x{ncols}")
             x = Fraction(val)

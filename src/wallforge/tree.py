@@ -495,21 +495,13 @@ def ss_chain_complex(
     for d in cs.edge_dims:
         e_off.append(e_off[-1] + d)
     dim0, dim1 = v_off[-1], e_off[-1]
-    grid = [[Fraction(0)] * dim1 for _ in range(dim0)]
+    # an edge joins two distinct vertices, so its two blocks never overlap
+    blocks = []
     for e, (i, j) in enumerate(sub.edges):
-        tail, head = cs.tail_maps[e], cs.head_maps[e]
-        for a in range(head.nrows):
-            for b in range(head.ncols):
-                val = head.entry(a, b)
-                if val:
-                    grid[v_off[j] + a][e_off[e] + b] += val
-        for a in range(tail.nrows):
-            for b in range(tail.ncols):
-                val = tail.entry(a, b)
-                if val:
-                    grid[v_off[i] + a][e_off[e] + b] -= val
+        blocks.append((v_off[j], e_off[e], cs.head_maps[e]))
+        blocks.append((v_off[i], e_off[e], -cs.tail_maps[e]))
     dims = {0: dim0, 1: dim1}
-    diffs = {1: RationalMatrix(grid, ncols=dim1)} if dim0 or dim1 else {}
+    diffs = {1: RationalMatrix.from_blocks(dim0, dim1, blocks)} if dim0 or dim1 else {}
     complex_ = ChainComplex(dims, diffs)
     if cs.augmentation_maps is None:
         return complex_, None

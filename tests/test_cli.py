@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from wallforge import cli
 from wallforge.cli import _merge_negative_values, main, verify_replay
 from wallforge.groupalg import AlgebraPresentation
 from wallforge.lie import LieAlgebra
@@ -454,7 +455,18 @@ class TestVerifyReplay:
         paths["radius"].write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
         code, out, _ = _run(capsys, ["verify-replay", str(paths["radius"])])
         assert code == 1
-        assert "INVALID" in out and "FAIL" not in out
+        assert "INVALID" in out and "missing field 'p'" in out and "FAIL" not in out
+
+    def test_fault_inside_the_recomputation_fails(self, capsys, tmp_path, monkeypatch):
+        paths = _make_dumps(tmp_path, capsys)
+
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "radius_params", broken)
+        code, out, _ = _run(capsys, ["verify-replay", str(paths["radius"])])
+        assert code == 2
+        assert "FAIL" in out and "INVALID" not in out and "missing field" not in out
 
     def test_input_rejected_by_the_job_is_invalid(self, capsys, tmp_path):
         paths = _make_dumps(tmp_path, capsys)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -146,6 +147,13 @@ def test_serialization_equality_and_hash(g1, g2):
         assert hash(S1) == hash(S2)
     rebuilt = (S1 + S1) - S1
     assert rebuilt == S1 and hash(rebuilt) == hash(S1)
+
+
+@pytest.mark.parametrize("index", [(1.0, 0), (0, 1.0), (True, 0), (0, "1")])
+def test_from_json_refuses_non_integer_index(index):
+    doc = {"rows": 2, "cols": 2, "entries": [[*index, "3"]]}
+    with pytest.raises(ValueError, match="not a pair of integers"):
+        sparse.RationalMatrix.from_json(doc)
 
 
 @given(st.data())
