@@ -1,35 +1,27 @@
 """wallforge: an exact-arithmetic homological algebra workbench.
 
-Everything is computed over the rationals (or residue rings for the p-adic
-approximations), so every certificate the package emits is an exact matrix
-identity, never a floating-point estimate.
+Everything is computed over the rationals, so every certificate the package
+emits is an exact matrix identity, never a floating-point estimate.
 """
 
 from wallforge.arith import (
     BchConstants,
-    PadicApprox,
     PExponent,
     RadiusParams,
     bch_constants,
     p_valuation,
-    padic_binomial,
-    r_of_rho,
     radius_params,
 )
-from wallforge.linalg import RationalMatrix, rank_kernel_image, smith_normal_form, solve_in_subspace
+from wallforge.linalg import RationalMatrix, rank_kernel_image, solve_in_subspace
 
 __all__ = [
     "BchConstants",
-    "PadicApprox",
     "PExponent",
     "RadiusParams",
     "RationalMatrix",
     "bch_constants",
     "p_valuation",
-    "padic_binomial",
-    "r_of_rho",
     "radius_params",
     "rank_kernel_image",
-    "smith_normal_form",
     "solve_in_subspace",
 ]

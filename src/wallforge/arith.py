@@ -1,17 +1,14 @@
 """Exact scalars for p-adic size bookkeeping.
 
-Two layers live here.  ``PExponent`` records the *size* of a p-adic number
-as an exact rational exponent: the value ``p**exponent``, plus a distinguished
-absorbing zero.  Multiplying sizes adds exponents, comparing sizes compares
-exponents, and no floating point is ever involved.  ``PadicApprox`` records an
-actual p-adic integer to finite precision, as a residue modulo ``p**M``; the
-only lossy operation is division by a power of p, which drops precision by
-exactly the valuation divided out.
+``PExponent`` records the *size* of a p-adic number as an exact rational
+exponent: the value ``p**exponent``, plus a distinguished absorbing zero.
+Multiplying sizes adds exponents, comparing sizes compares exponents, and no
+floating point is ever involved.
 
-On top of the scalars sit the small closed-form computations used by the
-nilpotent group-law machinery: the constants ``kappa`` and ``h_n`` with their
-denominator bound, the radius ladder ``(h, ell)`` attached to a convergence
-radius, and the critical-radius map ``r_of_rho``.
+On top of it sit the small closed-form computations used by the nilpotent
+group-law machinery: the constants ``kappa`` and ``h_n`` with their
+denominator bound, and the radius ladder ``(h, ell)`` attached to a
+convergence radius.
 """
 
 from __future__ import annotations
@@ -194,136 +191,6 @@ class PExponent:
         return f"PExponent.of({self.p}, Fraction({self.exponent.numerator}, {self.exponent.denominator}))"
 
 
-def _factorial_valuation(k: int, p: int) -> int:
-    # Legendre: v_p(k!) = sum_{i >= 1} floor(k / p**i).
-    v = 0
-    q = p
-    while q <= k:
-        v += k // q
-        q *= p
-    return v
-
-
-@dataclass(frozen=True)
-class PadicApprox:
-    """A p-adic integer known modulo ``p**modulus_exponent``.
-
-    The residue is normalized into ``range(p**modulus_exponent)``.  Ring
-    operations align both operands to the smaller precision.  Dividing by
-    ``p**k`` requires the residue to be divisible by ``p**k`` and returns a
-    result known only modulo ``p**(M - k)``: precision loss is explicit,
-    never silent.
-    """
-
-    residue: int
-    modulus_exponent: int
-    prime: int
-
-    def __post_init__(self) -> None:
-        _require_prime(self.prime)
-        if self.modulus_exponent < 1:
-            raise ValueError("modulus exponent must be at least 1")
-        object.__setattr__(self, "residue", self.residue % self.prime**self.modulus_exponent)
-
-    @classmethod
-    def from_rational(cls, x: RationalLike, p: int, precision: int) -> "PadicApprox":
-        x = Fraction(x)
-        _require_prime(p)
-        if precision < 1:
-            raise ValueError("precision must be at least 1")
-        if x.denominator % p == 0:
-            raise ValueError(f"{x} is not a p-adic integer for p={p}")
-        mod = p**precision
-        inv = pow(x.denominator, -1, mod)
-        return cls(residue=x.numerator * inv % mod, modulus_exponent=precision, prime=p)
-
-    @property
-    def modulus(self) -> int:
-        return self.prime**self.modulus_exponent
-
-    def _align(self, other: "PadicApprox") -> int:
-        if self.prime != other.prime:
-            raise ValueError(f"mixed primes {self.prime} and {other.prime}")
-        return min(self.modulus_exponent, other.modulus_exponent)
-
-    def __add__(self, other: "PadicApprox") -> "PadicApprox":
-        m = self._align(other)
-        return PadicApprox(self.residue + other.residue, m, self.prime)
-
-    def __sub__(self, other: "PadicApprox") -> "PadicApprox":
-        m = self._align(other)
-        return PadicApprox(self.residue - other.residue, m, self.prime)
-
-    def __mul__(self, other: "PadicApprox") -> "PadicApprox":
-        m = self._align(other)
-        return PadicApprox(self.residue * other.residue, m, self.prime)
-
-    def shift_int(self, n: int) -> "PadicApprox":
-        """Add the ordinary integer ``n`` at full precision."""
-        return PadicApprox(self.residue + n, self.modulus_exponent, self.prime)
-
-    def divide_by_p_power(self, k: int) -> "PadicApprox":
-        if k < 0:
-            raise ValueError("power must be nonnegative")
-        if k == 0:
-            return self
-        if self.modulus_exponent - k < 1:
-            raise ValueError(
-                f"dividing by p**{k} leaves no precision (have {self.modulus_exponent})"
-            )
-        pk = self.prime**k
-        if self.residue % pk != 0:
-            raise ValueError(f"residue {self.residue} is not divisible by p**{k}")
-        return PadicApprox(self.residue // pk, self.modulus_exponent - k, self.prime)
-
-    def unit_inverse(self) -> "PadicApprox":
-        if self.residue % self.prime == 0:
-            raise ValueError("not a unit: residue divisible by p")
-        return PadicApprox(pow(self.residue, -1, self.modulus), self.modulus_exponent, self.prime)
-
-    def valuation_lower_bound(self) -> int:
-        """Known valuation: exact if the residue is nonzero, else the precision."""
-        if self.residue == 0:
-            return self.modulus_exponent
-        v = 0
-        r = self.residue
-        while r % self.prime == 0:
-            r //= self.prime
-            v += 1
-        return v
-
-    def to_json(self) -> dict:
-        return {"residue": self.residue, "precision": self.modulus_exponent, "p": self.prime}
-
-
-def padic_binomial(nu: PadicApprox, k: int) -> PadicApprox:
-    """The binomial coefficient ``C(nu, k)`` of a p-adic integer.
-
-    Computes ``nu (nu-1) ... (nu-k+1) / k!`` in the residue ring.  The
-    numerator product is exactly divisible by ``p**v_p(k!)`` (a classical
-    integrality fact, checked at runtime), so the result is again a p-adic
-    integer, known modulo ``p**(M - v_p(k!))``.  Raises when the starting
-    precision M cannot absorb that loss.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        return PadicApprox(1, nu.modulus_exponent, nu.prime)
-    p = nu.prime
-    v = _factorial_valuation(k, p)
-    if nu.modulus_exponent - v < 1:
-        raise ValueError(
-            f"precision {nu.modulus_exponent} too small: dividing by {k}! loses {v} digits"
-        )
-    prod = nu
-    for i in range(1, k):
-        prod = prod * nu.shift_int(-i)
-    prod = prod.divide_by_p_power(v)
-    unit = math.factorial(k) // p**v
-    inv = pow(unit % prod.modulus, -1, prod.modulus)
-    return PadicApprox(prod.residue * inv, prod.modulus_exponent, prod.prime)
-
-
 @dataclass(frozen=True)
 class BchConstants:
     """Denominator bookkeeping for degree-n group-law coefficients."""
@@ -333,16 +200,6 @@ class BchConstants:
     kappa: int
     h_n: int
     bound_exponent: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "kappa": self.kappa,
-            "h_n": self.h_n,
-            "bound_num": self.bound_exponent.numerator,
-            "bound_den": self.bound_exponent.denominator,
-        }
 
 
 def bch_constants(n: int, p: int) -> BchConstants:
@@ -463,17 +320,3 @@ def radius_params(
         in_sR=m_witness is not None,
         m_witness=m_witness,
     )
-
-
-def r_of_rho(rho: RationalLike, p: int) -> PExponent:
-    """The critical radius ``p**(-rho/(kappa (p-1)))`` for ``rho`` in (0, 1].
-
-    >>> r_of_rho(1, 3)
-    PExponent.of(3, Fraction(-1, 2))
-    """
-    _require_prime(p)
-    rho = Fraction(rho)
-    if not (Fraction(0) < rho <= Fraction(1)):
-        raise ValueError("rho must lie in (0, 1]")
-    kappa = 1 if p > 2 else 2
-    return PExponent.of(p, -rho / (kappa * (p - 1)))

@@ -4,7 +4,8 @@ The analytic layer of the package: the Baker-Campbell-Hausdorff series as a
 truncated noncommutative polynomial, its evaluation on nilpotent matrices
 through a formal parameter, coordinate group laws for Lie lattices whose
 bracket is divisible by p**kappa, Gauss norms of polynomials on polydiscs,
-and the binomial expansion (1+b)**nu with its formal radius-r norm.
+and the binomial expansion (1+b)**nu, for rational nu, with its formal
+radius-r norm.
 
 Everything is rational: series are truncated at an explicit degree, matrix
 inputs must be nilpotent so exponentials terminate, and norms are tracked as
@@ -19,16 +20,10 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from wallforge.arith import (
-    PadicApprox,
-    PExponent,
-    bch_constants,
-    p_valuation,
-    padic_binomial,
-)
+from wallforge.arith import PExponent, bch_constants, p_valuation
 from wallforge.complexes import CertificateError
 from wallforge.lie import LieAlgebra, validate_lie
-from wallforge.linalg import RationalMatrix, smith_normal_form
+from wallforge.linalg import RationalMatrix
 
 Word = Tuple[int, ...]
 _LETTERS = "XY"
@@ -476,97 +471,6 @@ def gauss_norm(f: GaussPolynomial, rho: PExponent, p: int) -> PExponent:
     return best
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    """Certificate that an integer substitution does not grow the Gauss norm."""
-
-    source_norm: PExponent
-    image_norm: PExponent
-    contracts: bool
-    diagonal_formula_ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "source_norm": self.source_norm.to_json(),
-            "image_norm": self.image_norm.to_json(),
-            "contracts": self.contracts,
-            "diagonal_formula_ok": self.diagonal_formula_ok,
-        }
-
-
-def _monomial_image(
-    alpha: RationalMatrix, exponents: Sequence[int]
-) -> GaussPolynomial:
-    """The monomial x**n after substituting x_i -> sum_j alpha[j][i] x_j."""
-    nv = alpha.nrows
-    out = GaussPolynomial.constant(1, nv)
-    for i, e in enumerate(exponents):
-        if e == 0:
-            continue
-        image = GaussPolynomial.zero(nv)
-        for j in range(nv):
-            c = alpha.entry(j, i)
-            if c:
-                image = image + GaussPolynomial.variable(j, nv).scale(c)
-        out = out * image**e
-    return out
-
-
-def lattice_contraction_check(
-    alpha: RationalMatrix, exponents: Sequence[int], rho: PExponent
-) -> ContractionReport:
-    """Check |alpha(x**n)|_rho <= |x**n|_rho for an integer matrix alpha.
-
-    The monomial is expanded through the substitution and both Gauss norms
-    are compared; rho must be at most 1 so that integer coefficients do not
-    inflate the norm.  As an independent route the same check runs on the
-    diagonal Smith form of alpha, where the image norm has the closed form
-    p**(-sum(n_i * v_p(d_i))) * rho**|n| (zero when some needed d_i is 0),
-    and the two answers must agree.
-    """
-    p = rho.p
-    if not rho.is_zero and rho.exponent > 0:
-        raise ValueError("radius must be at most 1")
-    if rho.is_zero:
-        raise ValueError("radius must be positive")
-    if not alpha.is_integer():
-        raise ValueError("substitution matrix must have integer entries")
-    if len(exponents) != alpha.ncols:
-        raise ValueError("need one exponent per source variable")
-    if any(e < 0 for e in exponents):
-        raise ValueError("exponents must be nonnegative")
-    total = sum(exponents)
-    source_norm = rho.power(total)
-    image_norm = gauss_norm(_monomial_image(alpha, exponents), rho, p)
-    contracts = image_norm <= source_norm
-    if not contracts:
-        raise CertificateError(
-            f"substitution grew the norm: {image_norm!r} > {source_norm!r}"
-        )
-
-    D, _, _ = smith_normal_form(alpha)
-    diag_image_norm = gauss_norm(_monomial_image(D, exponents), rho, p)
-    closed: PExponent
-    dead = False
-    val_total = 0
-    for i, e in enumerate(exponents):
-        if e == 0:
-            continue
-        d = D.entry(i, i) if i < D.nrows else Fraction(0)
-        if d == 0:
-            dead = True
-            break
-        val_total += e * int(p_valuation(d, p))
-    closed = PExponent.zero(p) if dead else PExponent.of(p, -val_total) * rho.power(total)
-    diagonal_formula_ok = diag_image_norm == closed
-    return ContractionReport(
-        source_norm=source_norm,
-        image_norm=image_norm,
-        contracts=contracts,
-        diagonal_formula_ok=diagonal_formula_ok,
-    )
-
-
 # ---------------------------------------------------------------------------
 # coordinate group laws
 # ---------------------------------------------------------------------------
@@ -713,11 +617,7 @@ class DrExpansionReport:
     def to_json(self) -> dict:
         rendered = []
         for alpha, coef in self.terms:
-            if isinstance(coef, PadicApprox):
-                entry = {"approx": coef.to_json()}
-            else:
-                entry = {"exact": str(coef)}
-            rendered.append({"alpha": list(alpha), "coefficient": entry})
+            rendered.append({"alpha": list(alpha), "coefficient": {"exact": str(coef)}})
         return {
             "p": self.prime,
             "kappa": self.kappa,
@@ -738,19 +638,18 @@ def _exact_binomial(nu: Fraction, k: int) -> Fraction:
 
 
 def dr_norm_and_expansion(
-    nu_vector: Sequence[Union[Fraction, int, PadicApprox]],
+    nu_vector: Sequence[Union[Fraction, int]],
     r: PExponent,
     p: int,
     N: int,
 ) -> DrExpansionReport:
     """Expand prod_i (1+b_i)**nu_i - 1 to degree N and bound its r-norm.
 
-    Exponents may be exact rationals (binomials computed in Q, valuations
-    exact) or p-adic approximations (binomials via the residue arithmetic,
-    valuations known up to the working precision).  The norm is
-    sup over monomials of |coefficient| * r**(kappa * |alpha|); the report
-    certifies norm <= r**kappa, which holds whenever every nu_i is a p-adic
-    integer and r < 1, and a violation raises.
+    Exponents are exact rationals, so binomials are computed in Q and
+    valuations are exact.  The norm is sup over monomials of
+    |coefficient| * r**(kappa * |alpha|); the report certifies
+    norm <= r**kappa, which holds whenever every nu_i is a p-adic integer
+    and r < 1, and a violation raises.
     """
     if r.p != p:
         raise ValueError(f"radius is a power of {r.p}, not of {p}")
@@ -759,53 +658,22 @@ def dr_norm_and_expansion(
     if N < 0:
         raise ValueError("truncation must be nonnegative")
     kappa = bch_constants(1, p).kappa
-    d = len(nu_vector)
-    for nu in nu_vector:
-        if isinstance(nu, PadicApprox) and nu.prime != p:
-            raise ValueError("p-adic exponent lives over a different prime")
-
-    def binom(i: int, k: int):
-        nu = nu_vector[i]
-        if isinstance(nu, PadicApprox):
-            return padic_binomial(nu, k)
-        return _exact_binomial(Fraction(nu), k)
+    nus = [Fraction(nu) for nu in nu_vector]
 
     terms = []
     norm = PExponent.zero(p)
     bound = r.power(kappa)
-    for alpha in product(range(N + 1), repeat=d):
+    for alpha in product(range(N + 1), repeat=len(nus)):
         weight = sum(alpha)
         if weight == 0 or weight > N:
             continue
-        coef = None
-        exact_part = Fraction(1)
-        for i, k in enumerate(alpha):
-            piece = binom(i, k)
-            if isinstance(piece, PadicApprox):
-                coef = piece if coef is None else coef * piece
-            else:
-                exact_part *= piece
-        if coef is None:
-            value = exact_part
-            if value == 0:
-                continue
-            size = PExponent.size_of(value, p)
-        else:
-            if exact_part != 1:
-                num = exact_part.numerator
-                den = exact_part.denominator
-                if den % p == 0:
-                    raise ValueError("exact factor is not a p-adic integer")
-                scaled = PadicApprox(
-                    coef.residue * num * pow(den, -1, coef.modulus),
-                    coef.modulus_exponent,
-                    p,
-                )
-                coef = scaled
-            value = coef
-            size = PExponent.of(p, -value.valuation_lower_bound())
-        terms.append((alpha, value))
-        term_norm = size * r.power(kappa * weight)
+        coef = Fraction(1)
+        for nu, k in zip(nus, alpha):
+            coef *= _exact_binomial(nu, k)
+        if coef == 0:
+            continue
+        terms.append((alpha, coef))
+        term_norm = PExponent.size_of(coef, p) * r.power(kappa * weight)
         if term_norm > norm:
             norm = term_norm
     terms.sort(key=lambda t: (sum(t[0]), t[0]))

@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -129,9 +127,17 @@ def _as_int(value, what: str, minimum: Optional[int] = None) -> int:
     return value
 
 
+def _as_bool(value, what: str) -> bool:
+    if type(value) is not bool:
+        raise _InputError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def _as_fraction(value, what: str) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise _InputError(f"{what} must be an integer or a fraction string, got {value!r}")
     try:
-        return Fraction(str(value))
+        return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise _InputError(f"{what} is not a rational number: {value!r}") from exc
 
@@ -407,7 +413,7 @@ def _job_pushout_check(inputs: dict) -> dict:
     p = _check_prime(inputs["p"])
     radius = _as_int(inputs["radius"], "radius", minimum=0)
     copies = _as_int(inputs["copies"], "copies", minimum=1)
-    convex = bool(inputs["convex"])
+    convex = _as_bool(inputs["convex"], "convex")
     ambient = FiniteSubtree.ball(p, radius)
     if convex:
         shared_radius = _as_int(inputs["shared_radius"], "shared radius", minimum=0)
@@ -1001,15 +1007,8 @@ def verify_replay(paths: Sequence[str]) -> int:
             return ("fail", path, str(exc))
         return ("ok", path, "")
 
-    threads = int(os.environ.get("WALLFORGE_THREADS", "1") or "1")
-    items = list(paths)
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, items))
-    else:
-        results = [work(path) for path in items]
     code = 0
-    for status, path, message in results:
+    for status, path, message in map(work, paths):
         if status == "ok":
             print(f"ok {path}")
         elif status == "invalid":

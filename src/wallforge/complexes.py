@@ -7,11 +7,10 @@ homology code path.
 
 Construction is lazy: the constructor checks shapes only.  ``d o d = 0`` is
 enforced by ``validate_complex``, and anything downstream (homology,
-truncation, tensor) insists on a valid complex before it runs.
+truncation, Hom complexes) insists on a valid complex before it runs.
 
 Sign conventions, fixed once for the whole package:
 
-* tensor product: ``d(x (x) y) = dx (x) y + (-1)**deg(x) x (x) dy``
 * mapping cone of f: C -> D: ``cone_n = C_{n-1} (+) D_n`` with
   ``d(c, x) = (-d_C c, d_D x - f c)``
 * hom complexes use plain precomposition with no extra sign.
@@ -162,13 +161,6 @@ class HomologyRecord:
     dim: int
     representatives: tuple = field(default_factory=tuple)
 
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "dim": self.dim,
-            "representatives": [[str(x) for x in v] for v in self.representatives],
-        }
-
 
 def validate_complex(C: ChainComplex) -> list:
     """Empty list when ``d o d = 0`` everywhere, else the violating degrees."""
@@ -292,73 +284,6 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         )
         bottom = RationalMatrix.hstack([-f.component(n - 1), D.diff(n)])
         diffs[n] = RationalMatrix.vstack([top, bottom])
-    return ChainComplex(dims, diffs)
-
-
-def direct_sum(C: ChainComplex, D: ChainComplex) -> ChainComplex:
-    lo = min(C.lo, D.lo)
-    hi = max(C.hi, D.hi)
-    dims = {n: C.dim(n) + D.dim(n) for n in range(lo, hi + 1)}
-    diffs = {}
-    for n in range(lo, hi + 1):
-        if dims.get(n - 1, 0) and dims.get(n, 0):
-            diffs[n] = RationalMatrix.block_diag([C.diff(n), D.diff(n)])
-    return ChainComplex(dims, diffs)
-
-
-def tensor_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
-    """Tensor product with the fixed Koszul sign.
-
-    Degree-n term is the direct sum of C_i (x) D_j over i + j = n, blocks
-    ordered by ascending i.  Within a block the basis is i-major (pure
-    tensors e_a (x) f_b ordered by a then b), matching ``kron``.
-    """
-    C.require_valid()
-    D.require_valid()
-    if C.is_zero_complex() or D.is_zero_complex():
-        return ChainComplex({}, {})
-    lo = C.lo + D.lo
-    hi = C.hi + D.hi
-
-    def pairs(n: int) -> list:
-        return [
-            (i, n - i)
-            for i in range(C.lo, C.hi + 1)
-            if C.dim(i) and D.dim(n - i)
-        ]
-
-    dims = {n: sum(C.dim(i) * D.dim(j) for i, j in pairs(n)) for n in range(lo, hi + 1)}
-    diffs = {}
-    for n in range(lo, hi + 1):
-        src = pairs(n)
-        tgt = pairs(n - 1)
-        if not src or not tgt:
-            continue
-        tgt_offsets = {}
-        off = 0
-        for i, j in tgt:
-            tgt_offsets[(i, j)] = off
-            off += C.dim(i) * D.dim(j)
-        total_rows = off
-        cols_blocks = []
-        for i, j in src:
-            pieces = []
-            # d_C (x) id lands in (i-1, j); id (x) d_D lands in (i, j-1)
-            if (i - 1, j) in tgt_offsets and C.dim(i - 1):
-                horiz = C.diff(i).kron(RationalMatrix.identity(D.dim(j)))
-                pieces.append((tgt_offsets[(i - 1, j)], horiz))
-            if (i, j - 1) in tgt_offsets and D.dim(j - 1):
-                vert = RationalMatrix.identity(C.dim(i)).kron(D.diff(j))
-                if i % 2:
-                    vert = -vert
-                pieces.append((tgt_offsets[(i, j - 1)], vert))
-            cols_blocks.append(
-                RationalMatrix.from_blocks(
-                    total_rows, C.dim(i) * D.dim(j), [(r0, 0, piece) for r0, piece in pieces]
-                )
-            )
-        if cols_blocks:
-            diffs[n] = RationalMatrix.hstack(cols_blocks)
     return ChainComplex(dims, diffs)
 
 

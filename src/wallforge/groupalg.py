@@ -6,8 +6,7 @@ groups, ``AlgebraPresentation`` for associative unital algebras over Q, and
 sit free resolutions with greedy generator selection, Ext computed from the
 concrete Hom identification Hom_A(A**r, N) = N**r, crossed products with
 normalized 2-cocycles, the comparison of Ext over a crossed product with
-invariants of Ext over the base, the group-algebra untwisting isomorphism,
-and the Koszul complex of commuting invertible operators.
+invariants of Ext over the base.
 
 Free A-modules A**r are realized as vector spaces generator-major: basis
 index u * dim(A) + k stands for the algebra basis element b_k sitting in
@@ -28,16 +27,13 @@ from wallforge.complexes import (
     ChainComplex,
     cohomology_dims,
     homology,
-    homology_dims,
 )
 from wallforge.linalg import (
     RationalMatrix,
     SpanTracker,
     rank_kernel_image,
     solve_in_subspace,
-    solve_matrix,
     solve_vector,
-    vec,
 )
 
 _ZERO = Fraction(0)
@@ -229,13 +225,6 @@ class FiniteGroupTable:
                 if mats[a] @ mats[b] != mats[self.mul(a, b)]:
                     raise ValueError(f"not a homomorphism at pair ({a},{b})")
         return [mats[g] for g in range(self.order)]
-
-    def to_json(self) -> dict:
-        return {"order": self.order, "table": [list(r) for r in self.table], "name": self.name}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FiniteGroupTable":
-        return cls(data["table"], name=data.get("name", ""))
 
 
 def standard_groups(max_order: int = 8) -> List[FiniteGroupTable]:
@@ -436,37 +425,6 @@ class AlgebraPresentation:
         labels = ["^".join(f"x{a}" for a in s) if s else "1" for s in subsets]
         return cls(products, unit, labels=labels)
 
-    @classmethod
-    def tensor_product(
-        cls, A: "AlgebraPresentation", B: "AlgebraPresentation"
-    ) -> "AlgebraPresentation":
-        """Plain (ungraded) tensor product: (a (x) b)(a' (x) b') = aa' (x) bb'."""
-        da, db = A.dim, B.dim
-        dim = da * db
-        products = [[None] * dim for _ in range(dim)]
-        for i1 in range(da):
-            for j1 in range(db):
-                for i2 in range(da):
-                    for j2 in range(db):
-                        pa = A.products[i1][i2]
-                        pb = B.products[j1][j2]
-                        entry = [Fraction(0)] * dim
-                        for k1, c1 in enumerate(pa):
-                            if not c1:
-                                continue
-                            for k2, c2 in enumerate(pb):
-                                if c2:
-                                    entry[k1 * db + k2] = c1 * c2
-                        products[i1 * db + j1][i2 * db + j2] = entry
-        unit = [Fraction(0)] * dim
-        for k1, c1 in enumerate(A.unit):
-            for k2, c2 in enumerate(B.unit):
-                unit[k1 * db + k2] = Fraction(c1) * Fraction(c2)
-        labels = None
-        if A.labels and B.labels:
-            labels = [f"{a}(x){b}" for a in A.labels for b in B.labels]
-        return cls(products, unit, labels=labels)
-
     def augmentation_values(self) -> Optional[tuple]:
         """The canonical algebra map to Q when this algebra visibly has one.
 
@@ -582,13 +540,6 @@ class ModulePresentation:
     def zero(cls, A: AlgebraPresentation) -> "ModulePresentation":
         return cls(A, [RationalMatrix.zeros(0, 0) for _ in range(A.dim)])
 
-    @classmethod
-    def trivial(cls, A: AlgebraPresentation) -> "ModulePresentation":
-        values = A.augmentation_values()
-        if values is None:
-            raise ValueError("algebra has no canonical augmentation; pass values explicitly")
-        return cls.one_dimensional(A, values)
-
     def to_json(self) -> dict:
         return {"dim": self.dim, "actions": [A.to_json() for A in self.actions]}
 
@@ -630,10 +581,6 @@ class FreeResolution:
     complex: ChainComplex
     ranks: tuple
     augmentation: RationalMatrix
-
-    def free_dim(self, n: int) -> int:
-        r = self.ranks[n] if 0 <= n < len(self.ranks) else 0
-        return r * self.algebra.dim
 
     def augmented(self) -> ChainComplex:
         dims = dict(self.complex.dims)
@@ -997,10 +944,6 @@ class CrossedProductAlgebra:
     def basis_index(self, i: int, q: int) -> int:
         return q * self.base.dim + i
 
-    def component(self, q: int) -> range:
-        da = self.base.dim
-        return range(q * da, (q + 1) * da)
-
     def include_base(self, u: Sequence, q: int = -1) -> tuple:
         """a # q as a coefficient vector (q defaults to the identity)."""
         if q < 0:
@@ -1283,101 +1226,3 @@ def crossed_ext_compare(
         invariant_dims=tuple(inv_dims),
         ok=ok,
     )
-
-
-# ---------------------------------------------------------------------------
-# untwisting and commuting-operator Koszul homology
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UntwistRecord:
-    matrix: RationalMatrix
-    inverse: RationalMatrix
-
-    def to_json(self) -> dict:
-        return {"matrix": self.matrix.to_json(), "inverse": self.inverse.to_json()}
-
-
-def hopf_untwist(Q: FiniteGroupTable, module_mats: Sequence[RationalMatrix]) -> UntwistRecord:
-    """The untwisting isomorphism of E[Q] (x) M, basis g-major.
-
-    The map sends g (x) m to g (x) g m (block-diagonal with blocks U_g) and
-    its inverse uses the antipode: g (x) m to g (x) g**(-1) m.  The map
-    conjugates the left-regular-only action into the diagonal one:
-    Phi o (h (x) 1) = (h (x) U_h) o Phi for every h, equivalently
-    Phi**(-1) (h (x) U_h) Phi = h (x) 1.  Both identities and the two-sided
-    inverse law are verified exactly; a failure raises CertificateError.
-    """
-    n = Q.order
-    if len(module_mats) != n:
-        raise ValueError(f"need {n} module matrices")
-    m = module_mats[0].nrows
-    for g in range(n):
-        for h in range(n):
-            if module_mats[g] @ module_mats[h] != module_mats[Q.mul(g, h)]:
-                raise ValueError(f"module matrices are not a representation at ({g},{h})")
-    phi = RationalMatrix.block_diag([module_mats[g] for g in range(n)])
-    phi_inv = RationalMatrix.block_diag([module_mats[Q.inv(g)] for g in range(n)])
-    dim = n * m
-    ident = RationalMatrix.identity(dim)
-    if phi @ phi_inv != ident or phi_inv @ phi != ident:
-        raise CertificateError("antipode inverse failed to invert the untwisting map")
-
-    def placed(h: int, block: RationalMatrix) -> RationalMatrix:
-        """``block`` at every (h g, g) position of the g-major grid."""
-        return RationalMatrix.from_blocks(
-            dim, dim, [(Q.mul(h, g) * m, g * m, block) for g in range(n)]
-        )
-
-    ident_m = RationalMatrix.identity(m)
-
-    def regular_only(h: int) -> RationalMatrix:
-        return placed(h, ident_m)
-
-    def diagonal(h: int) -> RationalMatrix:
-        return placed(h, module_mats[h])
-
-    for h in range(n):
-        if phi @ regular_only(h) != diagonal(h) @ phi:
-            raise CertificateError(f"untwisting map fails to intertwine at element {h}")
-    return UntwistRecord(matrix=phi, inverse=phi_inv)
-
-
-def koszul_commuting_operators(operators: Sequence[RationalMatrix]) -> List[int]:
-    """Homology dims of the Koszul complex on phi_i = A_i - 1.
-
-    The A_i must commute pairwise and be invertible; degree-j term is
-    M (x) Lambda**j with differential summing (-1)**(t+1) phi_{i_t} into the
-    face with i_t removed.  Returns [H_0, ..., H_s].
-    """
-    if not operators:
-        raise ValueError("need at least one operator")
-    m = operators[0].nrows
-    s = len(operators)
-    for A in operators:
-        if A.shape != (m, m):
-            raise ValueError("operators must be square of equal size")
-        if A.det() == 0:
-            raise ValueError("operators must be invertible")
-    for a in range(s):
-        for b in range(a + 1, s):
-            if operators[a] @ operators[b] != operators[b] @ operators[a]:
-                raise ValueError(f"operators {a} and {b} do not commute")
-    phis = [A - RationalMatrix.identity(m) for A in operators]
-    subsets = {j: list(combinations(range(s), j)) for j in range(s + 1)}
-    dims = {j: m * len(subsets[j]) for j in range(s + 1)}
-    diffs = {}
-    for j in range(1, s + 1):
-        tgt_index = {S: i for i, S in enumerate(subsets[j - 1])}
-        # each (face, cell) pair owns its own block, so no two blocks overlap
-        blocks = []
-        for s_idx, S in enumerate(subsets[j]):
-            for t in range(j):
-                dropped = S[:t] + S[t + 1 :]
-                block = phis[S[t]] if t % 2 == 0 else -phis[S[t]]
-                blocks.append((tgt_index[dropped] * m, s_idx * m, block))
-        diffs[j] = RationalMatrix.from_blocks(dims[j - 1], dims[j], blocks)
-    cx = ChainComplex(dims, diffs)
-    table = homology_dims(cx)
-    return [table.get(j, 0) for j in range(s + 1)]

@@ -184,9 +184,6 @@ class LieModule:
             )
         return cls(algebra, actions)
 
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "actions": [A.to_json() for A in self.actions]}
-
 
 @dataclass(frozen=True)
 class LieViolations:

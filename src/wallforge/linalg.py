@@ -17,8 +17,7 @@ Empty shapes are first-class: a 0 x n or n x 0 matrix keeps its column
 count, because boundary maps into and out of the zero module show up
 constantly in chain complexes.
 
-The module also provides Smith normal form with unimodular transforms for
-integer matrices, an incremental span tracker used for greedy basis
+The module also provides an incremental span tracker used for greedy basis
 completion, and ``solve_in_subspace``, the constrained matrix solver behind
 every chain-map lift in the package.
 """
@@ -752,97 +751,3 @@ def solve_in_subspace(
         if c is not None:
             X = X + mats[pc].scale(c)
     return X
-
-
-def smith_normal_form(M: RationalMatrix) -> tuple:
-    """Smith normal form of an integer matrix.
-
-    Returns ``(D, L, R)`` with ``L @ M @ R == D`` diagonal, ``L`` and ``R``
-    unimodular, diagonal entries nonnegative and each dividing the next.
-    Pivot selection takes the entry of smallest absolute value, breaking
-    ties by row then column, so the transform pair is deterministic.
-    """
-    if not M.is_integer():
-        raise ValueError("Smith normal form needs an integer matrix")
-    m, n = M.shape
-    A = [[int(x) for x in row] for row in M.rows]
-    L = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    R = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_add(i: int, j: int, q: int) -> None:
-        A[i] = [a + q * b for a, b in zip(A[i], A[j])]
-        L[i] = [a + q * b for a, b in zip(L[i], L[j])]
-
-    def row_swap(i: int, j: int) -> None:
-        A[i], A[j] = A[j], A[i]
-        L[i], L[j] = L[j], L[i]
-
-    def row_negate(i: int) -> None:
-        A[i] = [-a for a in A[i]]
-        L[i] = [-a for a in L[i]]
-
-    def col_add(j: int, k: int, q: int) -> None:
-        for r_ in range(m):
-            A[r_][j] += q * A[r_][k]
-        for r_ in range(n):
-            R[r_][j] += q * R[r_][k]
-
-    def col_swap(j: int, k: int) -> None:
-        for r_ in range(m):
-            A[r_][j], A[r_][k] = A[r_][k], A[r_][j]
-        for r_ in range(n):
-            R[r_][j], R[r_][k] = R[r_][k], R[r_][j]
-
-    t = 0
-    while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0:
-                    key = (abs(A[i][j]), i, j)
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            row_swap(t, bi)
-        if bj != t:
-            col_swap(t, bj)
-        dirty = False
-        for i in range(t + 1, m):
-            if A[i][t] != 0:
-                q = A[i][t] // A[t][t]
-                if q:
-                    row_add(i, t, -q)
-                if A[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, n):
-            if A[t][j] != 0:
-                q = A[t][j] // A[t][t]
-                if q:
-                    col_add(j, t, -q)
-                if A[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        d = A[t][t]
-        violator = None
-        for i in range(t + 1, m):
-            if any(A[i][j] % d for j in range(t + 1, n)):
-                violator = i
-                break
-        if violator is not None:
-            row_add(t, violator, 1)
-            continue
-        t += 1
-
-    for i in range(min(m, n)):
-        if A[i][i] < 0:
-            row_negate(i)
-
-    return (
-        RationalMatrix(A, ncols=n),
-        RationalMatrix(L, ncols=m),
-        RationalMatrix(R, ncols=n),
-    )

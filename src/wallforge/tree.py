@@ -461,19 +461,6 @@ class TreeCoefficientSystem:
             augmentation_maps=[ident] * subtree.vertex_count if augmented else None,
         )
 
-    def to_json(self) -> dict:
-        out = {
-            "subtree": self.subtree.to_json(),
-            "vertex_dims": list(self.vertex_dims),
-            "edge_dims": list(self.edge_dims),
-            "tail_maps": [m.to_json() for m in self.tail_maps],
-            "head_maps": [m.to_json() for m in self.head_maps],
-        }
-        if self.augmentation_maps is not None:
-            out["augmentation_dim"] = self.augmentation_dim
-            out["augmentation_maps"] = [m.to_json() for m in self.augmentation_maps]
-        return out
-
 
 def ss_chain_complex(
     cs: TreeCoefficientSystem,
@@ -608,12 +595,6 @@ class PushoutComplex:
 
     def __setattr__(self, name, value):
         raise AttributeError("PushoutComplex is immutable")
-
-    def vertex_label_index(self, label: Label) -> int:
-        return self._vindex[label]
-
-    def edge_label_index(self, label: Label) -> int:
-        return self._eindex[label]
 
     def cells(self, q: int) -> Tuple[Label, ...]:
         if q == 0:

@@ -21,7 +21,7 @@ happen to vanish where there is no room.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from wallforge.complexes import (
     CertificateError,
@@ -616,15 +616,6 @@ class WallHomologyCertificate:
         left = {n: v for n, v in self.total_homology.items() if v}
         right = {n: v for n, v in self.base_homology.items() if v}
         return left == right
-
-    def to_json(self) -> dict:
-        return {
-            "cone_homology": {str(n): v for n, v in sorted(self.cone_homology.items())},
-            "total_homology": {str(n): v for n, v in sorted(self.total_homology.items())},
-            "base_homology": {str(n): v for n, v in sorted(self.base_homology.items())},
-            "is_quasi_iso": self.is_quasi_iso,
-            "betti_match": self.betti_match,
-        }
 
 
 def augmentation_quasi_iso(W: WallAssembly) -> Tuple[ChainMap, WallHomologyCertificate]:

@@ -8,9 +8,7 @@ evidence rather than tautology.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 Word = Tuple[int, ...]
@@ -42,57 +40,7 @@ def rank_by_elimination(rows: Sequence[Sequence]) -> int:
     return rank
 
 
-def _int_det(rows: List[List[int]]) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _int_det(minor)
-    return total
-
-
-def minor_gcd_diagonal(rows: Sequence[Sequence[int]]) -> List[int]:
-    """Smith form diagonal of an integer matrix via k-minor gcds.
-
-    Exponential in the matrix size; meant for hand-sized inputs only.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = min(m, n)
-    grid = [[int(x) for x in row] for row in rows]
-    gcds = [1]
-    for k in range(1, r + 1):
-        g = 0
-        for ri in combinations(range(m), k):
-            for ci in combinations(range(n), k):
-                g = math.gcd(g, _int_det([[grid[i][j] for j in ci] for i in ri]))
-        gcds.append(g)
-        if g == 0:
-            break
-    diag: List[int] = []
-    for k in range(1, len(gcds)):
-        diag.append(0 if gcds[k] == 0 else gcds[k] // gcds[k - 1])
-    while len(diag) < r:
-        diag.append(0)
-    return diag
-
-
-# -- binomials and valuations ------------------------------------------------
-
-
-def exact_binomial(a, n: int) -> Fraction:
-    """C(a, n) for a rational a, straight from the falling factorial."""
-    a = Fraction(a)
-    num = Fraction(1)
-    for i in range(n):
-        num *= a - i
-    return num / math.factorial(n)
+# -- valuations -------------------------------------------------------------
 
 
 def fraction_valuation(x, p: int) -> Optional[int]:

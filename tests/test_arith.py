@@ -7,16 +7,13 @@ from fractions import Fraction
 import pytest
 
 from wallforge.arith import (
-    PadicApprox,
     PExponent,
     bch_constants,
     p_valuation,
-    padic_binomial,
-    r_of_rho,
     radius_params,
 )
 
-from oracles import exact_binomial, fraction_valuation, radius_ladder
+from oracles import fraction_valuation, radius_ladder
 
 
 def test_p_valuation_basics():
@@ -78,50 +75,6 @@ class TestPExponent:
         )
 
 
-class TestPadicApprox:
-    def test_from_rational_and_ring_ops(self):
-        x = PadicApprox.from_rational(Fraction(1, 3), 2, 6)
-        # 1/3 = inverse of 3 mod 64 = 43
-        assert x.residue == 43
-        y = PadicApprox(5, 6, 2)
-        assert (x + y).residue == 48 % 64
-        assert (x * y).residue == (43 * 5) % 64
-
-    def test_rejects_non_integer(self):
-        with pytest.raises(ValueError):
-            PadicApprox.from_rational(Fraction(1, 2), 2, 4)
-
-    def test_precision_loss_is_explicit(self):
-        x = PadicApprox(8, 4, 2)
-        y = x.divide_by_p_power(3)
-        assert y.residue == 1 and y.modulus_exponent == 1
-        with pytest.raises(ValueError):
-            PadicApprox(4, 3, 2).divide_by_p_power(3)
-
-
-def test_padic_binomial_matches_exact_binomial():
-    """C(nu, k) computed in the residue ring equals the exact rational value.
-
-    For rational nu the binomial is an honest rational number; when nu is a
-    p-adic integer the result must be one too, so reducing the exact value
-    must reproduce the approximate one on the shared precision.
-    """
-    rng = random.Random(7)
-    for p in (2, 3, 5):
-        for _ in range(30):
-            den = rng.randint(1, 40)
-            while den % p == 0:
-                den = rng.randint(1, 40)
-            nu = Fraction(rng.randint(-60, 60), den)
-            k = rng.randint(0, 6)
-            precision = 12
-            approx = padic_binomial(PadicApprox.from_rational(nu, p, precision), k)
-            exact = exact_binomial(nu, k)
-            assert exact.denominator % p != 0  # p-integrality, the classical fact
-            expected = PadicApprox.from_rational(exact, p, approx.modulus_exponent)
-            assert approx.residue == expected.residue
-
-
 def test_bch_constants_table():
     # kappa: 2 only at the even prime
     assert bch_constants(1, 2).kappa == 2
@@ -170,17 +123,3 @@ def test_radius_params_validation():
         radius_params(PExponent.of(3, Fraction(-1, 4)), 3, 1, 5)  # q not a p power
     with pytest.raises(ValueError):
         radius_params(PExponent.of(2, Fraction(-1, 4)), 3, 1, 3)  # mixed primes
-
-
-def test_r_of_rho_values():
-    assert r_of_rho(1, 3) == PExponent.of(3, Fraction(-1, 2))
-    assert r_of_rho(1, 2) == PExponent.of(2, Fraction(-1, 2))
-    assert r_of_rho(Fraction(1, 2), 5) == PExponent.of(5, Fraction(-1, 8))
-    with pytest.raises(ValueError):
-        r_of_rho(0, 3)
-    with pytest.raises(ValueError):
-        r_of_rho(Fraction(3, 2), 3)
-    # every critical radius is a legal input for the ladder
-    for p in (2, 3, 5):
-        params = radius_params(r_of_rho(Fraction(1, 2), p), p, 1, p)
-        assert params.h >= 0 and params.ell >= 0

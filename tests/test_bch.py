@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallforge.arith import PExponent, PadicApprox, bch_constants, p_valuation
+from wallforge.arith import PExponent, bch_constants, p_valuation
 from wallforge.bch import (
     DrExpansionReport,
     GaussPolynomial,
@@ -15,7 +15,6 @@ from wallforge.bch import (
     dr_norm_and_expansion,
     gauss_norm,
     group_law_polynomials,
-    lattice_contraction_check,
 )
 from wallforge.complexes import CertificateError
 from wallforge.lie import LieAlgebra
@@ -240,56 +239,6 @@ def _random_poly(rng, nvars, degree, p):
     return f if not f.is_zero() else GaussPolynomial.constant(1, nvars)
 
 
-class TestLatticeContraction:
-    def test_identity_preserves_norm(self):
-        rho = PExponent.of(2, Fraction(-1, 2))
-        report = lattice_contraction_check(RationalMatrix.identity(2), (2, 1), rho)
-        assert report.contracts and report.diagonal_formula_ok
-        assert report.image_norm == report.source_norm == rho.power(3)
-
-    def test_scaling_by_p_shrinks(self):
-        p, rho = 3, PExponent.of(3, Fraction(-1, 4))
-        alpha = RationalMatrix.diagonal([p, p * p])
-        report = lattice_contraction_check(alpha, (1, 2), rho)
-        assert report.image_norm == PExponent.of(p, -5) * rho.power(3)
-
-    def test_rank_drop_kills_the_monomial(self):
-        rho = PExponent.of(2, Fraction(-1, 2))
-        alpha = RationalMatrix([[2, 0], [0, 0]])
-        report = lattice_contraction_check(alpha, (1, 1), rho)
-        assert report.image_norm.is_zero
-        assert report.contracts and report.diagonal_formula_ok
-
-    def test_random_integer_substitutions_contract(self):
-        rng = random.Random(97)
-        for p in (2, 3):
-            rho = PExponent.of(p, Fraction(-1, 3))
-            for _ in range(8):
-                size = rng.choice([2, 3])
-                alpha = RationalMatrix(
-                    [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
-                )
-                exponents = tuple(rng.randint(0, 2) for _ in range(size))
-                report = lattice_contraction_check(alpha, exponents, rho)
-                assert report.contracts
-                assert report.diagonal_formula_ok
-
-    def test_rejects_bad_inputs(self):
-        rho = PExponent.of(2, Fraction(-1, 2))
-        with pytest.raises(ValueError):
-            lattice_contraction_check(RationalMatrix([[Fraction(1, 2)]]), (1,), rho)
-        with pytest.raises(ValueError):
-            lattice_contraction_check(RationalMatrix.identity(1), (1, 1), rho)
-        with pytest.raises(ValueError):
-            lattice_contraction_check(RationalMatrix.identity(1), (-1,), rho)
-        with pytest.raises(ValueError):
-            lattice_contraction_check(
-                RationalMatrix.identity(1), (1,), PExponent.of(2, 1)
-            )
-        with pytest.raises(ValueError):
-            lattice_contraction_check(RationalMatrix.identity(1), (1,), PExponent.zero(2))
-
-
 def _powerful_heisenberg(p):
     kappa = bch_constants(1, p).kappa
     return LieAlgebra(3, {(0, 1): [0, 0, Fraction(p**kappa)]})
@@ -385,34 +334,10 @@ class TestDrExpansion:
         assert report.terms == expected
         assert report.within_bound
 
-    def test_padic_exponent_uses_residue_binomials(self):
-        nu = PadicApprox.from_rational(Fraction(1, 3), 2, 6)
-        r = PExponent.of(2, Fraction(-1, 4))
-        report = dr_norm_and_expansion([nu], r, 2, 4)
-        assert report.within_bound
-        (first,) = [coef for alpha, coef in report.terms if alpha == (1,)]
-        assert isinstance(first, PadicApprox)
-        assert first.residue % first.modulus == 43 % first.modulus
-
-    def test_mixed_exact_and_padic_exponents(self):
-        nu = PadicApprox.from_rational(Fraction(1, 3), 2, 6)
-        r = PExponent.of(2, Fraction(-1, 4))
-        report = dr_norm_and_expansion([2, nu], r, 2, 2)
-        assert report.within_bound
-        (cross,) = [coef for alpha, coef in report.terms if alpha == (1, 1)]
-        assert isinstance(cross, PadicApprox)
-        assert (cross.residue - 2 * 43) % cross.modulus == 0
-
     def test_non_integral_exact_exponent_breaks_the_bound(self):
         r = PExponent.of(2, Fraction(-1, 4))
         with pytest.raises(CertificateError):
             dr_norm_and_expansion([Fraction(1, 2)], r, 2, 2)
-
-    def test_non_integral_factor_next_to_padic_is_rejected(self):
-        nu = PadicApprox.from_rational(Fraction(1, 3), 2, 6)
-        r = PExponent.of(2, Fraction(-1, 4))
-        with pytest.raises(ValueError):
-            dr_norm_and_expansion([Fraction(1, 2), nu], r, 2, 2)
 
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,8 @@ from wallforge.groupalg import AlgebraPresentation
 from wallforge.lie import LieAlgebra
 from wallforge.linalg import RationalMatrix
 
+from test_golden import _argvs
+
 
 def _run(capsys, argv):
     code = main(argv)
@@ -402,6 +404,22 @@ def _make_dumps(tmp_path, capsys):
     return paths
 
 
+def _wrong_json_type(value):
+    """The same value as another JSON type, or None where no such swap is defined."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return float(value)
+    if isinstance(value, str):
+        try:
+            return float(Fraction(value))
+        except (ValueError, ZeroDivisionError):
+            return None
+    if isinstance(value, (dict, list)):
+        return json.dumps(value)
+    return None
+
+
 class TestVerifyReplay:
     def test_clean_dumps_pass(self, capsys, tmp_path):
         paths = _make_dumps(tmp_path, capsys)
@@ -500,15 +518,26 @@ class TestVerifyReplay:
             capsys, ["verify-replay", str(paths["radius"]), str(bad), str(empty)]
         )
         assert code == 2
-        assert "ok " in out and "FAIL" in out and "INVALID" in out
+        verdicts = [line.split(" ", 1)[0] for line in out.splitlines()]
+        assert verdicts == ["ok", "FAIL", "INVALID"]
 
-    def test_threaded_replay_keeps_order_and_verdict(self, capsys, tmp_path, monkeypatch):
-        paths = _make_dumps(tmp_path, capsys)
-        argv = ["verify-replay"] + [str(p) for p in paths.values()]
-        code_serial, out_serial, _ = _run(capsys, argv)
-        monkeypatch.setenv("WALLFORGE_THREADS", "3")
-        code_pool, out_pool, _ = _run(capsys, argv)
-        assert (code_serial, out_serial) == (code_pool, out_pool) == (0, out_serial)
+    def test_wrongly_typed_inputs_never_replay_ok(self, capsys, tmp_path):
+        escaped = []
+        for name, argv in _argvs(tmp_path).items():
+            dump = tmp_path / f"{name}.json"
+            assert main(argv + ["--out", str(dump)]) == 0
+            data = json.loads(dump.read_text())
+            for key, value in data["inputs"].items():
+                wrong = _wrong_json_type(value)
+                if wrong is None:
+                    continue
+                tampered = tmp_path / f"{name}.{key}.json"
+                bad = {**data, "inputs": {**data["inputs"], key: wrong}}
+                tampered.write_text(json.dumps(bad))
+                code, _, _ = _run(capsys, ["verify-replay", str(tampered)])
+                if code not in (1, 2):
+                    escaped.append((name, key, wrong, code))
+        assert escaped == []
 
 
 class TestDeterminism:

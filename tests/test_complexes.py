@@ -12,7 +12,6 @@ from wallforge.complexes import (
     ChainComplex,
     ChainMap,
     cohomology_dims,
-    direct_sum,
     euler_characteristic,
     hom_constrained,
     hom_into_space,
@@ -20,7 +19,6 @@ from wallforge.complexes import (
     homology_dims,
     is_exact,
     mapping_cone,
-    tensor_complex,
     truncate_canonical,
     validate_complex,
 )
@@ -163,22 +161,6 @@ class TestChainMap:
         C = _interval_complex()
         with pytest.raises(ValueError):
             ChainMap(C, C, {0: RationalMatrix([[1]])})
-
-
-def test_direct_sum_adds_homology():
-    C = _circle_complex()
-    D = _interval_complex()
-    hd = homology_dims(direct_sum(C, D))
-    assert hd == {0: 2, 1: 1}
-
-
-def test_tensor_complex_kunneth_on_tori():
-    circle = _circle_complex()
-    torus = tensor_complex(circle, circle)
-    assert homology_dims(torus) == {0: 1, 1: 2, 2: 1}
-    # differentials square to zero by construction
-    assert validate_complex(torus) == []
-    assert euler_characteristic(torus) == 0
 
 
 class TestTruncation:

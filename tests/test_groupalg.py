@@ -17,9 +17,7 @@ from wallforge.groupalg import (
     ext_dims,
     ext_dims_via_hom_complex,
     free_resolution,
-    hopf_untwist,
     invariants,
-    koszul_commuting_operators,
     module_direct_sum,
     standard_groups,
     two_periodic_resolution,
@@ -128,17 +126,6 @@ class TestAlgebraPresentation:
         eps = A.augmentation_values()
         assert eps is not None
         assert eps[0] == 1 and all(c == 0 for c in eps[1:])
-
-    def test_tensor_product_of_group_algebras(self):
-        Z2 = FiniteGroupTable.cyclic(2)
-        A = AlgebraPresentation.group_algebra(Z2)
-        T = AlgebraPresentation.tensor_product(A, A)
-        assert T.dim == 4
-        # (g (x) 1) * (1 (x) g) = g (x) g, and it squares to the unit
-        g1 = T.basis_vector(2)
-        g2 = T.basis_vector(1)
-        gg = T.multiply(g1, g2)
-        assert T.multiply(gg, gg) == T.unit
 
     def test_invalid_structure_constants_rejected(self):
         # (b1 b1) b1 = b2 b1 = 0 but b1 (b1 b1) = b1 b2 = b0
@@ -315,45 +302,3 @@ class TestCrossedProduct:
         )
         data = crossed_ext_compare(cp, triv, [1, 0], 2).to_json()
         assert set(data) == {"crossed_ext_dims", "base_ext_dims", "invariant_dims", "ok"}
-
-
-class TestHopfUntwist:
-    def test_untwist_cyclic3_regular(self):
-        Q = FiniteGroupTable.cyclic(3)
-        record = hopf_untwist(Q, Q.left_regular_matrices())
-        n = Q.order * Q.order
-        ident = RationalMatrix.identity(n)
-        assert record.matrix @ record.inverse == ident
-
-    def test_untwist_sign_representation(self):
-        Q = FiniteGroupTable.cyclic(2)
-        mats = [RationalMatrix.identity(1), RationalMatrix.diagonal([-1])]
-        record = hopf_untwist(Q, mats)
-        assert record.matrix == RationalMatrix.diagonal([1, -1])
-
-    def test_untwist_rejects_non_representation(self):
-        Q = FiniteGroupTable.cyclic(2)
-        mats = [RationalMatrix.identity(1), RationalMatrix.diagonal([2])]
-        with pytest.raises(ValueError):
-            hopf_untwist(Q, mats)
-
-
-class TestKoszulOperators:
-    def test_identity_operators(self):
-        I2 = RationalMatrix.identity(2)
-        assert koszul_commuting_operators([I2]) == [2, 2]
-        assert koszul_commuting_operators([I2, I2]) == [2, 4, 2]
-
-    def test_mixed_spectrum(self):
-        A = RationalMatrix.diagonal([1, 2])
-        assert koszul_commuting_operators([A]) == [1, 1]
-
-    def test_rejects_noncommuting(self):
-        A = RationalMatrix([[1, 1], [0, 1]])
-        B = RationalMatrix([[1, 0], [1, 1]])
-        with pytest.raises(ValueError):
-            koszul_commuting_operators([A, B])
-
-    def test_rejects_singular(self):
-        with pytest.raises(ValueError):
-            koszul_commuting_operators([RationalMatrix.zeros(2, 2)])

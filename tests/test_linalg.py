@@ -11,7 +11,6 @@ from wallforge.linalg import (
     SpanTracker,
     extend_to_basis,
     rank_kernel_image,
-    smith_normal_form,
     solve_in_subspace,
     solve_matrix,
     solve_vector,
@@ -19,7 +18,7 @@ from wallforge.linalg import (
     vec,
 )
 
-from oracles import minor_gcd_diagonal, rank_by_elimination
+from oracles import rank_by_elimination
 
 
 def _random_matrix(rng, nrows, ncols, den_max=4):
@@ -189,42 +188,3 @@ def test_extend_to_basis_returns_chosen_indices():
     vectors = list(base) + [candidates[i] for i in chosen]
     M = RationalMatrix.from_columns(vectors, nrows=3)
     assert M.rank() == 3
-
-
-class TestSmithNormalForm:
-    def test_transform_identity_and_divisibility(self):
-        rng = random.Random(17)
-        for _ in range(25):
-            nrows = rng.randint(1, 5)
-            ncols = rng.randint(1, 5)
-            M = RationalMatrix(
-                [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)],
-                ncols=ncols,
-            )
-            D, L, R = smith_normal_form(M)
-            assert L @ M @ R == D
-            assert abs(L.det()) == 1 and abs(R.det()) == 1
-            diag = [D.entry(i, i) for i in range(min(nrows, ncols))]
-            for i in range(len(diag) - 1):
-                if diag[i + 1] != 0:
-                    assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-            assert all(d >= 0 for d in diag)
-
-    def test_diagonal_matches_minor_gcd_oracle(self):
-        cases = [
-            [[2, 4, 4], [-6, 6, 12], [10, 4, 16]],
-            [[1, 0], [0, 1]],
-            [[6, 0], [0, 10]],
-            [[0, 0], [0, 0]],
-            [[3, 1, 2], [6, 2, 4]],
-        ]
-        for rows in cases:
-            M = RationalMatrix(rows)
-            D, _, _ = smith_normal_form(M)
-            expected = minor_gcd_diagonal(rows)
-            got = [int(D.entry(i, i)) for i in range(min(M.nrows, M.ncols))]
-            assert got == expected, rows
-
-    def test_rejects_non_integer(self):
-        with pytest.raises(ValueError):
-            smith_normal_form(RationalMatrix([[Fraction(1, 2)]]))
