@@ -9,6 +9,11 @@ it re-checks the stored certificates directly from the raw matrices
 (boundary squares, connecting-map identities, homology dimensions), then
 it reproduces the whole dump from the recorded inputs and compares.
 
+Only ``arith``, ``linalg`` and ``complexes``, which every job uses, are
+imported here.  Each job imports the algebra modules it runs (``tree``,
+``lie``, ``bch``, ``groupalg``, ``wall``) inside its own function, so a
+process pays start-up only for the subcommand it runs.
+
 Exit codes: 0 success, 1 invalid input, 2 a failed mathematical
 certificate, 3 internal error.
 """
@@ -23,46 +28,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from wallforge.arith import PExponent, bch_constants, p_valuation, radius_params
-from wallforge.bch import (
-    GaussPolynomial,
-    bch_evaluate_nilpotent,
-    dr_norm_and_expansion,
-    gauss_norm,
-    group_law_polynomials,
-)
 from wallforge.complexes import CertificateError, ChainComplex, homology_dims
-from wallforge.groupalg import (
-    AlgebraPresentation,
-    FiniteGroupTable,
-    ModulePresentation,
-    crossed_ext_compare,
-    crossed_module,
-    crossed_product,
-    free_resolution,
-)
-from wallforge.lie import LieAlgebra, LieModule, ce_complex, lie_homology, validate_lie
 from wallforge.linalg import RationalMatrix, rank_kernel_image, solve_matrix
-from wallforge.tree import (
-    FiniteSubtree,
-    TreeCoefficientSystem,
-    TreeVertex,
-    cosimplicial_row_check,
-    is_convex,
-    pushout_complex,
-    ss_chain_complex,
-)
-from wallforge.wall import (
-    augmentation_quasi_iso,
-    base_complex,
-    build_wall,
-    total_complex,
-    truncated_wall,
-    verify_induction_identities,
-    wall_from_json,
-)
+
+if TYPE_CHECKING:
+    from wallforge.bch import GaussPolynomial
+    from wallforge.groupalg import AlgebraPresentation, FiniteGroupTable, ModulePresentation
 
 SCHEMA = "wallforge/1"
 
@@ -157,6 +131,8 @@ def _matrix_from_json(data) -> RationalMatrix:
 
 
 def _module_from_json(A: AlgebraPresentation, data) -> ModulePresentation:
+    from wallforge.groupalg import ModulePresentation
+
     def build(doc):
         actions = [RationalMatrix.from_json(m) for m in doc["actions"]]
         return ModulePresentation(A, actions)
@@ -191,6 +167,8 @@ def _min_valuation(m: RationalMatrix, p: int) -> Optional[int]:
 
 
 def _group_by_name(name) -> FiniteGroupTable:
+    from wallforge.groupalg import FiniteGroupTable
+
     label = str(name)
     if label == "S3":
         return FiniteGroupTable.symmetric3()
@@ -209,6 +187,8 @@ def _augmentation_ideal(
     A: AlgebraPresentation,
 ) -> Tuple[ModulePresentation, RationalMatrix]:
     """The kernel of the canonical augmentation, with its inclusion matrix."""
+    from wallforge.groupalg import ModulePresentation
+
     values = A.augmentation_values()
     if values is None:
         raise ValueError("the algebra exposes no canonical augmentation")
@@ -231,6 +211,8 @@ def _augmentation_ideal(
 
 
 def _job_ce_homology(inputs: dict) -> dict:
+    from wallforge.lie import LieAlgebra, LieModule, ce_complex, validate_lie
+
     g = _parsed(LieAlgebra.from_json, inputs["lie"], "Lie algebra")
     report = validate_lie(g)
     if not report.ok:
@@ -254,13 +236,12 @@ def _job_ce_homology(inputs: dict) -> dict:
             raise _InputError(f"module action rejected: {list(full.module)}")
     C = ce_complex(g, M)
     C.require_valid()
-    betti = lie_homology(g, M)
     return {
         "schema": SCHEMA,
         "kind": "ce-homology",
         "inputs": inputs,
         "complex": C.to_json(),
-        "betti": list(betti),
+        "betti": _dim_list(homology_dims(C), g.dim),
         "certificates": {"d_squared": "zero"},
     }
 
@@ -274,6 +255,14 @@ def _wall_dump_sections(wall, truncate: Optional[int]) -> dict:
     makes the total-versus-base homology comparison a theorem rather than
     an accident of column length.
     """
+    from wallforge.wall import (
+        augmentation_quasi_iso,
+        base_complex,
+        total_complex,
+        truncated_wall,
+        verify_induction_identities,
+    )
+
     failures = verify_induction_identities(wall)
     if failures:
         raise CertificateError("; ".join(failures))
@@ -314,6 +303,9 @@ def _wall_dump_sections(wall, truncate: Optional[int]) -> dict:
 
 
 def _job_wall_demo(inputs: dict) -> dict:
+    from wallforge.groupalg import AlgebraPresentation, ModulePresentation, free_resolution
+    from wallforge.wall import build_wall
+
     degrees = _as_int(inputs["degrees"], "degrees", minimum=1)
     Q = _group_by_name(inputs["group"])
     if Q.order < 2:
@@ -336,6 +328,9 @@ def _job_wall_demo(inputs: dict) -> dict:
 
 
 def _job_wall_build(inputs: dict) -> dict:
+    from wallforge.groupalg import AlgebraPresentation, free_resolution
+    from wallforge.wall import build_wall
+
     job = inputs["job"]
     if not isinstance(job, dict):
         raise _InputError("the job description must be a JSON object")
@@ -373,6 +368,8 @@ def _job_wall_build(inputs: dict) -> dict:
 
 
 def _job_tree_ss(inputs: dict) -> dict:
+    from wallforge.tree import FiniteSubtree, TreeCoefficientSystem, ss_chain_complex
+
     p = _check_prime(inputs["p"])
     radius = _as_int(inputs["radius"], "radius", minimum=0)
     fiber = _as_int(inputs["fiber_dim"], "fiber dimension", minimum=1)
@@ -410,6 +407,8 @@ def _job_tree_ss(inputs: dict) -> dict:
 
 
 def _job_pushout_check(inputs: dict) -> dict:
+    from wallforge.tree import FiniteSubtree, TreeVertex, is_convex, pushout_complex
+
     p = _check_prime(inputs["p"])
     radius = _as_int(inputs["radius"], "radius", minimum=0)
     copies = _as_int(inputs["copies"], "copies", minimum=1)
@@ -458,6 +457,8 @@ def _job_pushout_check(inputs: dict) -> dict:
 
 
 def _job_cosimplicial_check(inputs: dict) -> dict:
+    from wallforge.tree import FiniteSubtree, cosimplicial_row_check
+
     p = _check_prime(inputs["p"])
     radius = _as_int(inputs["radius"], "radius", minimum=0)
     shared_radius = _as_int(inputs["shared_radius"], "shared radius", minimum=0)
@@ -514,6 +515,8 @@ def _builtin_bch_pairs(p: int, size: int) -> List[dict]:
 
 
 def _job_bch_verify(inputs: dict) -> dict:
+    from wallforge.bch import bch_evaluate_nilpotent
+
     p = _check_prime(inputs["p"])
     n_max = _as_int(inputs["n_max"], "n_max", minimum=1)
     pairs = inputs["pairs"]
@@ -563,12 +566,17 @@ def _job_bch_verify(inputs: dict) -> dict:
 
 
 def _powerful_heisenberg_json(p: int) -> dict:
+    from wallforge.lie import LieAlgebra
+
     kappa = bch_constants(1, p).kappa
     g = LieAlgebra(3, {(0, 1): [0, 0, Fraction(p) ** kappa]})
     return g.to_json()
 
 
 def _job_group_law(inputs: dict) -> dict:
+    from wallforge.bch import group_law_polynomials
+    from wallforge.lie import LieAlgebra
+
     p = _check_prime(inputs["p"])
     N = _as_int(inputs["N"], "N", minimum=1)
     g = _parsed(LieAlgebra.from_json, inputs["lie"], "Lie algebra")
@@ -587,6 +595,8 @@ def _job_group_law(inputs: dict) -> dict:
 
 
 def _random_poly(rng: random.Random, nvars: int, degree: int, p: int) -> GaussPolynomial:
+    from wallforge.bch import GaussPolynomial
+
     terms: Dict[Tuple[int, ...], Fraction] = {}
     for _ in range(rng.randint(2, 5)):
         mono = tuple(rng.randint(0, degree) for _ in range(nvars))
@@ -609,6 +619,8 @@ def _job_norms(inputs: dict) -> dict:
     The seed is part of the inputs, so a replay redraws exactly the same
     polynomials and exponent vectors.
     """
+    from wallforge.bch import dr_norm_and_expansion, gauss_norm
+
     p = _check_prime(inputs["p"])
     seed = _as_int(inputs["seed"], "seed")
     n_pairs = _as_int(inputs["pairs"], "pairs", minimum=1)
@@ -793,6 +805,13 @@ def _ext_module_data(
 
 
 def _job_ext_crossed(inputs: dict) -> dict:
+    from wallforge.groupalg import (
+        AlgebraPresentation,
+        crossed_ext_compare,
+        crossed_module,
+        crossed_product,
+    )
+
     rank = _as_int(inputs["rank"], "rank", minimum=1)
     if rank > 2:
         raise _InputError("configured actions stop at rank 2")
@@ -860,6 +879,13 @@ def _recheck_ce(dump: dict) -> None:
 
 
 def _recheck_wall(dump: dict) -> None:
+    from wallforge.wall import (
+        base_complex,
+        total_complex,
+        verify_induction_identities,
+        wall_from_json,
+    )
+
     W = wall_from_json(dump["assembly"])
     failures = verify_induction_identities(W)
     if failures:

@@ -247,6 +247,15 @@ def _require_valid(g: LieAlgebra, M: Optional[LieModule] = None) -> None:
         raise ValueError(f"invalid Lie data: {v}")
 
 
+def _accumulate(row: Dict[int, Fraction], col: int, x: Fraction) -> None:
+    """``row[col] += x`` on a sparse row, dropping the entry if it cancels."""
+    y = row.get(col, 0) + x
+    if y:
+        row[col] = y
+    else:
+        row.pop(col, None)
+
+
 def ce_complex(g: LieAlgebra, M: LieModule) -> ChainComplex:
     """The chain complex with term j equal to M (x) Lambda^j g.
 
@@ -260,32 +269,34 @@ def ce_complex(g: LieAlgebra, M: LieModule) -> ChainComplex:
     d = g.dim
     m = M.dim
     dims = {j: m * comb(d, j) for j in range(d + 1)}
+    action_entries = [list(A.nonzero_entries()) for A in M.actions]
+    bracket_entries = {
+        (p, q): [(k, c) for k, c in enumerate(g.bracket(p, q)) if c]
+        for p in range(d)
+        for q in range(p + 1, d)
+    }
     diffs: Dict[int, RationalMatrix] = {}
     for j in range(1, d + 1):
         src = wedge_basis(d, j)
         tgt = wedge_basis(d, j - 1)
         tgt_index = {S: idx for idx, S in enumerate(tgt)}
-        rows = m * len(tgt)
-        grid = [[Fraction(0)] * (m * len(src)) for _ in range(rows)]
+        rows: List[Dict[int, Fraction]] = [{} for _ in range(m * len(tgt))]
         for s_idx, S in enumerate(src):
+            col0 = s_idx * m
             for t in range(j):
-                sign = Fraction((-1) ** t)  # (-1)**(t+1) with 1-based t
+                sign = (-1) ** t  # (-1)**(t+1) with 1-based t
                 dropped = S[:t] + S[t + 1 :]
                 base_row = tgt_index[dropped] * m
-                action = M.actions[S[t]]
-                for a in range(m):
-                    col = s_idx * m + a
-                    for b in range(m):
-                        val = action.entry(b, a)
-                        if val:
-                            grid[base_row + b][col] += sign * val
+                for b, a, val in action_entries[S[t]]:
+                    _accumulate(rows[base_row + b], col0 + a, sign * val)
             for s in range(j):
                 for t in range(s + 1, j):
+                    terms = bracket_entries[S[s], S[t]]
+                    if not terms:
+                        continue
                     pair_sign = (-1) ** (s + t + 1)  # (-1)**(s+t) with 1-based s, t
-                    rest = tuple(x for idx, x in enumerate(S) if idx not in (s, t))
-                    for k, c in enumerate(g.bracket(S[s], S[t])):
-                        if not c:
-                            continue
+                    rest = S[:s] + S[s + 1 : t] + S[t + 1 :]
+                    for k, c in terms:
                         ins = insert_into_wedge(k, rest)
                         if ins is None:
                             continue
@@ -293,8 +304,8 @@ def ce_complex(g: LieAlgebra, M: LieModule) -> ChainComplex:
                         base_row = tgt_index[merged] * m
                         total = pair_sign * w_sign * c
                         for a in range(m):
-                            grid[base_row + a][s_idx * m + a] += total
-        diffs[j] = RationalMatrix(grid, ncols=m * len(src))
+                            _accumulate(rows[base_row + a], col0 + a, total)
+        diffs[j] = RationalMatrix._from_sparse(rows, m * len(src))
     return ChainComplex(dims, diffs)
 
 

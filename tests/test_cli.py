@@ -404,20 +404,61 @@ def _make_dumps(tmp_path, capsys):
     return paths
 
 
-def _wrong_json_type(value):
-    """The same value as another JSON type, or None where no such swap is defined."""
+def _wrong_json_types(value):
+    """The same value as other JSON types; empty where no such swap is defined.
+
+    A list also yields each of its items swapped in place, so the labels in
+    a list of module names get their own wrong types.
+    """
     if isinstance(value, bool):
-        return int(value)
+        return [int(value)]
     if isinstance(value, int):
-        return float(value)
+        return [float(value)]
     if isinstance(value, str):
         try:
-            return float(Fraction(value))
+            return [float(Fraction(value))]
         except (ValueError, ZeroDivisionError):
-            return None
-    if isinstance(value, (dict, list)):
-        return json.dumps(value)
-    return None
+            return [1, [value], {"name": value}]
+    if isinstance(value, list):
+        swapped = [
+            value[:i] + [wrong] + value[i + 1 :]
+            for i, item in enumerate(value)
+            for wrong in _wrong_json_types(item)
+        ]
+        return [json.dumps(value)] + swapped
+    if isinstance(value, dict):
+        return [json.dumps(value)]
+    return []
+
+
+def _bumped(value):
+    """A different value of the same JSON type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return str(value) + "-tampered"
+
+
+def _leaves(node, path=()):
+    """``(path, value)`` for every non-container value below ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [(path, node)]
+    return [leaf for key, child in items for leaf in _leaves(child, path + (key,))]
+
+
+def _replaced(data, path, value):
+    """A deep copy of ``data`` with the value at ``path`` replaced."""
+    out = json.loads(json.dumps(data))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
 
 
 class TestVerifyReplay:
@@ -528,15 +569,37 @@ class TestVerifyReplay:
             assert main(argv + ["--out", str(dump)]) == 0
             data = json.loads(dump.read_text())
             for key, value in data["inputs"].items():
-                wrong = _wrong_json_type(value)
-                if wrong is None:
-                    continue
-                tampered = tmp_path / f"{name}.{key}.json"
-                bad = {**data, "inputs": {**data["inputs"], key: wrong}}
-                tampered.write_text(json.dumps(bad))
-                code, _, _ = _run(capsys, ["verify-replay", str(tampered)])
-                if code not in (1, 2):
-                    escaped.append((name, key, wrong, code))
+                for wrong in _wrong_json_types(value):
+                    tampered = tmp_path / f"{name}.{key}.json"
+                    bad = {**data, "inputs": {**data["inputs"], key: wrong}}
+                    tampered.write_text(json.dumps(bad))
+                    code, _, _ = _run(capsys, ["verify-replay", str(tampered)])
+                    if code not in (1, 2):
+                        escaped.append((name, key, wrong, code))
+        assert escaped == []
+
+    def test_tampered_certificates_never_replay_ok(self, capsys, tmp_path):
+        escaped = []
+        for name, argv in _argvs(tmp_path).items():
+            dump = tmp_path / f"{name}.json"
+            assert main(argv + ["--out", str(dump)]) == 0
+            data = json.loads(dump.read_text())
+            variants = [
+                (path, wrong)
+                for path, leaf in _leaves(data["certificates"])
+                for wrong in _wrong_json_types(leaf) + [_bumped(leaf)]
+            ]
+            files = []
+            for i, (path, wrong) in enumerate(variants):
+                tampered = tmp_path / f"{name}.cert{i}.json"
+                tampered.write_text(json.dumps(_replaced(data, ("certificates",) + path, wrong)))
+                files.append(str(tampered))
+            code, out, _ = _run(capsys, ["verify-replay", *files])
+            lines = out.splitlines()
+            assert len(lines) == len(files)
+            if code not in (1, 2):
+                escaped.append((name, code))
+            escaped += [(name, variants[i]) for i, line in enumerate(lines) if line.startswith("ok ")]
         assert escaped == []
 
 

@@ -231,3 +231,55 @@ def test_graded_koszul_json_shape():
     data = report.to_json()
     assert data["all_exact"] is True
     assert set(data["homology"]) == {"1", "2"}
+
+
+def _dense_ce_differentials(g, M):
+    """The CE differentials filled into dense grids, term by term: the reference."""
+    d, m = g.dim, M.dim
+    diffs = {}
+    for j in range(1, d + 1):
+        src, tgt = wedge_basis(d, j), wedge_basis(d, j - 1)
+        tgt_index = {S: idx for idx, S in enumerate(tgt)}
+        grid = [[Fraction(0)] * (m * len(src)) for _ in range(m * len(tgt))]
+        for s_idx, S in enumerate(src):
+            for t in range(j):
+                base_row = tgt_index[S[:t] + S[t + 1 :]] * m
+                for a in range(m):
+                    for b in range(m):
+                        grid[base_row + b][s_idx * m + a] += (-1) ** t * M.actions[S[t]].entry(b, a)
+            for s in range(j):
+                for t in range(s + 1, j):
+                    rest = tuple(x for idx, x in enumerate(S) if idx not in (s, t))
+                    for k, c in enumerate(g.bracket(S[s], S[t])):
+                        ins = insert_into_wedge(k, rest) if c else None
+                        if ins is None:
+                            continue
+                        w_sign, merged = ins
+                        for a in range(m):
+                            row = tgt_index[merged] * m + a
+                            grid[row][s_idx * m + a] += (-1) ** (s + t + 1) * w_sign * c
+        diffs[j] = RationalMatrix(grid, ncols=m * len(src))
+    return diffs
+
+
+def test_ce_complex_matches_the_dense_builder():
+    rng = random.Random(20261018)
+    h, s, f, a = LieAlgebra.heisenberg(), LieAlgebra.sl2(), _filiform4(), _aff1()
+    aff_module = LieModule(
+        a, [RationalMatrix([[1, 0], [0, 0]]), RationalMatrix([[0, 1], [0, 0]])]
+    )
+    cases = [
+        (h, LieModule.trivial(h, 2)),
+        (h, LieModule.adjoint(h)),
+        (s, LieModule.adjoint(s)),
+        (f, LieModule.adjoint(f)),
+        (a, aff_module),
+    ]
+    for g, M in list(cases):
+        P = _random_invertible(rng, g.dim)
+        g2 = _conjugate_algebra(g, P)
+        cases.append((g2, _conjugate_module(g2, M, P)))
+    for g, M in cases:
+        C = ce_complex(g, M)
+        for j, expected in _dense_ce_differentials(g, M).items():
+            assert C.diff(j) == expected

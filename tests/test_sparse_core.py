@@ -197,3 +197,73 @@ def test_span_tracker(data):
         assert s.contains(v) == d.contains(v)
         assert s.add(v) == d.add(v)
         assert s.rank == d.rank
+
+
+def dense_from_blocks(nrows, ncols, blocks):
+    """The zero grid with each dense block written in at its offset."""
+    cells = [[0] * ncols for _ in range(nrows)]
+    for r0, c0, block in blocks:
+        for a, row in enumerate(block.rows):
+            for b, x in enumerate(row):
+                cells[r0 + a][c0 + b] = x
+    return dense.RationalMatrix(cells, ncols=ncols)
+
+
+def dense_nonzeros(d):
+    return [(i, j, x) for i, row in enumerate(d.rows) for j, x in enumerate(row) if x]
+
+
+def _overlaps(a, b):
+    (r0, c0, h, w), (s0, d0, k, v) = a, b
+    return r0 < s0 + k and s0 < r0 + h and c0 < d0 + v and d0 < c0 + w
+
+
+@st.composite
+def placed_blocks(draw):
+    """An outer shape and non-overlapping blocks at arbitrary offsets in it.
+
+    Blocks may be empty (no rows or no columns) or all zeros, and the outer
+    shape may have no rows or no columns.
+    """
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    placed = []
+    for _ in range(draw(st.integers(0, 5))):
+        r0, c0 = draw(st.integers(0, m)), draw(st.integers(0, n))
+        h, w = draw(st.integers(0, m - r0)), draw(st.integers(0, n - c0))
+        if any(_overlaps((r0, c0, h, w), (s0, d0, k, v)) for s0, d0, k, v, _ in placed):
+            continue
+        cells = [[0] * w for _ in range(h)] if draw(st.booleans()) else draw(grids(h, w))
+        placed.append((r0, c0, h, w, cells))
+    return m, n, placed
+
+
+@given(placed_blocks())
+def test_from_blocks(case):
+    m, n, placed = case
+    s_blocks = [(r0, c0, sparse.RationalMatrix(cells, ncols=w)) for r0, c0, _, w, cells in placed]
+    d_blocks = [(r0, c0, dense.RationalMatrix(cells, ncols=w)) for r0, c0, _, w, cells in placed]
+    S = sparse.RationalMatrix.from_blocks(m, n, s_blocks)
+    D = dense_from_blocks(m, n, d_blocks)
+    same(S, D)
+    assert list(S.nonzero_entries()) == dense_nonzeros(D)
+
+
+@pytest.mark.parametrize("r0, c0", [(-1, 0), (0, -1), (2, 0), (0, 3), (1, 2)])
+def test_from_blocks_refuses_a_block_outside_the_shape(r0, c0):
+    block = sparse.RationalMatrix([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="leaves"):
+        sparse.RationalMatrix.from_blocks(3, 3, [(r0, c0, block)])
+
+
+@given(grid(), st.data())
+def test_nonzero_entries(g, data):
+    m, n, rows = g
+    S, D = both(m, n, rows)
+    _, _, f = data.draw(grid(nrows=m, ncols=n))
+    SF, DF = both(m, n, f)
+    # sums and differences whose entries cancel, as well as plain matrices
+    pairs = [(S, D), (S - S, D - D), ((S + SF) - SF, (D + DF) - DF), (S.transpose(), D.transpose())]
+    for s, d in pairs:
+        entries = list(s.nonzero_entries())
+        assert entries == dense_nonzeros(d)
+        assert all(type(x) is Fraction for _, _, x in entries)
