@@ -213,7 +213,7 @@ def dense_nonzeros(d):
     return [(i, j, x) for i, row in enumerate(d.rows) for j, x in enumerate(row) if x]
 
 
-def _overlaps(a, b):
+def overlaps(a, b):
     (r0, c0, h, w), (s0, d0, k, v) = a, b
     return r0 < s0 + k and s0 < r0 + h and c0 < d0 + v and d0 < c0 + w
 
@@ -230,7 +230,7 @@ def placed_blocks(draw):
     for _ in range(draw(st.integers(0, 5))):
         r0, c0 = draw(st.integers(0, m)), draw(st.integers(0, n))
         h, w = draw(st.integers(0, m - r0)), draw(st.integers(0, n - c0))
-        if any(_overlaps((r0, c0, h, w), (s0, d0, k, v)) for s0, d0, k, v, _ in placed):
+        if any(overlaps((r0, c0, h, w), (s0, d0, k, v)) for s0, d0, k, v, _ in placed):
             continue
         cells = [[0] * w for _ in range(h)] if draw(st.booleans()) else draw(grids(h, w))
         placed.append((r0, c0, h, w, cells))
