@@ -88,13 +88,14 @@ class PExponent:
 
     def __post_init__(self) -> None:
         _require_prime(self.p)
-        object.__setattr__(self, "exponent", Fraction(self.exponent))
+        if type(self.exponent) is not Fraction:
+            object.__setattr__(self, "exponent", Fraction(self.exponent))
         if self.is_zero and self.exponent != 0:
             raise ValueError("the zero size carries no exponent")
 
     @classmethod
     def of(cls, p: int, exponent: RationalLike) -> "PExponent":
-        return cls(p=p, exponent=Fraction(exponent))
+        return cls(p=p, exponent=exponent)
 
     @classmethod
     def zero(cls, p: int) -> "PExponent":

@@ -211,15 +211,9 @@ def _augmentation_ideal(
 
 
 def _job_ce_homology(inputs: dict) -> dict:
-    from wallforge.lie import LieAlgebra, LieModule, ce_complex, validate_lie
+    from wallforge.lie import LieAlgebra, LieDataError, LieModule, ce_complex
 
     g = _parsed(LieAlgebra.from_json, inputs["lie"], "Lie algebra")
-    report = validate_lie(g)
-    if not report.ok:
-        raise _InputError(
-            "structure constants rejected: "
-            f"antisymmetry {list(report.antisymmetry)}, jacobi {list(report.jacobi)}"
-        )
     mod_doc = inputs.get("module")
     if mod_doc is None:
         M = LieModule.trivial(g)
@@ -231,10 +225,16 @@ def _job_ce_homology(inputs: dict) -> dict:
             mod_doc,
             "Lie module",
         )
-        full = validate_lie(g, M)
-        if not full.ok:
-            raise _InputError(f"module action rejected: {list(full.module)}")
-    C = ce_complex(g, M)
+    try:
+        C = ce_complex(g, M)  # validates the structure constants and the action
+    except LieDataError as exc:
+        v = exc.violations
+        if v.antisymmetry or v.jacobi:
+            raise _InputError(
+                "structure constants rejected: "
+                f"antisymmetry {list(v.antisymmetry)}, jacobi {list(v.jacobi)}"
+            ) from None
+        raise _InputError(f"module action rejected: {list(v.module)}") from None
     C.require_valid()
     return {
         "schema": SCHEMA,
@@ -249,23 +249,19 @@ def _job_ce_homology(inputs: dict) -> dict:
 def _wall_dump_sections(wall, truncate: Optional[int]) -> dict:
     """Certificates shared by the wall subcommands.
 
-    The raw assembly is always checked for the connecting-map identities
-    and a vanishing total boundary square.  When a truncation bound is
-    given the columns are cut to complete resolutions first, which is what
-    makes the total-versus-base homology comparison a theorem rather than
-    an accident of column length.
+    ``wall`` comes from ``build_wall``, which verifies the connecting-map
+    identities of every assembly it returns; the total complex checks its
+    boundary square.  When a truncation bound is given the columns are cut
+    to complete resolutions first, which is what makes the total-versus-base
+    homology comparison a theorem rather than an accident of column length.
     """
     from wallforge.wall import (
         augmentation_quasi_iso,
         base_complex,
         total_complex,
         truncated_wall,
-        verify_induction_identities,
     )
 
-    failures = verify_induction_identities(wall)
-    if failures:
-        raise CertificateError("; ".join(failures))
     total = total_complex(wall)
     base = base_complex(wall)
     out = {
@@ -824,11 +820,12 @@ def _job_ext_crossed(inputs: dict) -> dict:
     action = [_exterior_extension(rank, m) for m in gen_mats]
     cp = crossed_product(A, Q, action)
     eps = A.augmentation_values()
-    reports = []
+    modules = []
     for label in labels:
         base, ops = _ext_module_data(rank, gen_mats, str(label), A.dim)
-        M = crossed_module(cp, base, ops)
-        rep = crossed_ext_compare(cp, M, eps, n_max)
+        modules.append(crossed_module(cp, base, ops))
+    reports = []
+    for label, rep in zip(labels, crossed_ext_compare(cp, modules, eps, n_max)):
         if not rep.ok:
             raise CertificateError(
                 f"Ext comparison fails for module {label!r}: "

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from wallforge.complexes import (
     CertificateError,
@@ -33,6 +33,7 @@ from wallforge.linalg import (
     SpanTracker,
     rank_kernel_image,
     solve_in_subspace,
+    solve_matrix,
     solve_vector,
 )
 
@@ -98,6 +99,33 @@ class FiniteGroupTable:
 
     def inv(self, g: int) -> int:
         return self.inverses[g]
+
+    def generators(self) -> List[int]:
+        """A generating set, chosen greedily: scanning the elements in order,
+        keep each one that lies outside the subgroup generated so far.
+
+        The identity is never chosen, so the trivial group gets no generators.
+        """
+        gens: List[int] = []
+        reached = {self.identity}
+        for g in range(self.order):
+            if g in reached:
+                continue
+            gens.append(g)
+            # the subgroup generated by gens: close the identity under right
+            # multiplication by the generators
+            reached = {self.identity}
+            frontier = [self.identity]
+            while frontier:
+                nxt = []
+                for h in frontier:
+                    for s in gens:
+                        hs = self.table[h][s]
+                        if hs not in reached:
+                            reached.add(hs)
+                            nxt.append(hs)
+                frontier = nxt
+        return gens
 
     def __repr__(self) -> str:
         return f"FiniteGroupTable({self.name or 'order ' + str(self.order)})"
@@ -277,6 +305,18 @@ def invariants(action_matrices: Sequence[RationalMatrix]) -> List[tuple]:
 # ---------------------------------------------------------------------------
 
 
+def _combination(scaled: Iterable[Tuple[Fraction, Sequence[tuple]]]) -> dict:
+    """The sum of c * v over ``(c, v)`` pairs, each v given by its ``(k, x)`` nonzeros.
+
+    Returned as a ``{k: value}`` dict without zeros, so equal sums compare equal.
+    """
+    out: dict = {}
+    for c, v in scaled:
+        for k, x in v:
+            out[k] = out.get(k, _ZERO) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
 class AlgebraPresentation:
     """An associative unital algebra by structure constants.
 
@@ -296,7 +336,10 @@ class AlgebraPresentation:
     ):
         dim = len(products)
         prods = tuple(
-            tuple(tuple(Fraction(x) for x in entry) for entry in row) for row in products
+            tuple(
+                tuple(x if type(x) is Fraction else Fraction(x) for x in entry) for entry in row
+            )
+            for row in products
         )
         for row in prods:
             if len(row) != dim or any(len(e) != dim for e in row):
@@ -321,22 +364,35 @@ class AlgebraPresentation:
         raise AttributeError("AlgebraPresentation is immutable")
 
     def _validate(self) -> None:
+        """Both unit laws per basis element, then associativity per basis triple.
+
+        Products are formed from the nonzero structure constants only, and
+        compared as sparse vectors.
+        """
+        terms = self._terms
+        unit = [(s, a) for s, a in enumerate(self.unit) if a]
         for i in range(self.dim):
-            bi = tuple(1 if k == i else 0 for k in range(self.dim))
-            if self.multiply(self.unit, bi) != tuple(Fraction(x) for x in bi):
+            bi = {i: _ONE}
+            if _combination((a, terms[s][i]) for s, a in unit) != bi:
                 raise ValueError(f"left unit law fails on basis {i}")
-            if self.multiply(bi, self.unit) != tuple(Fraction(x) for x in bi):
+            if _combination((a, terms[i][s]) for s, a in unit) != bi:
                 raise ValueError(f"right unit law fails on basis {i}")
         for i in range(self.dim):
+            row_i = terms[i]
             for j in range(self.dim):
-                ij = self.products[i][j]
+                ij = row_i[j]
+                row_j = terms[j]
                 for k in range(self.dim):
-                    bk = tuple(1 if t == k else 0 for t in range(self.dim))
-                    left = self.multiply(ij, bk)
-                    jk = self.products[j][k]
-                    bi = tuple(1 if t == i else 0 for t in range(self.dim))
-                    right = self.multiply(bi, jk)
-                    if left != right:
+                    jk = row_j[k]
+                    # (b_i b_j) b_k against b_i (b_j b_k)
+                    if len(ij) == 1 and len(jk) == 1 and ij[0][1] == jk[0][1]:
+                        # one basis product on each side, times the same scalar
+                        same = terms[ij[0][0]][k] == row_i[jk[0][0]]
+                    else:
+                        same = _combination((c, terms[l][k]) for l, c in ij) == _combination(
+                            (c, row_i[m]) for m, c in jk
+                        )
+                    if not same:
                         raise ValueError(f"associativity fails at triple ({i},{j},{k})")
 
     def multiply(self, u: Sequence, v: Sequence) -> tuple:
@@ -522,11 +578,12 @@ class ModulePresentation:
                     raise ValueError(f"module axiom fails on basis pair ({i},{j})")
 
     def action_of(self, u: Sequence) -> RationalMatrix:
-        out = RationalMatrix.zeros(self.dim, self.dim)
+        out = None
         for i, c in enumerate(u):
             if c:
-                out = out + self.actions[i].scale(c)
-        return out
+                term = self.actions[i] if c == 1 else self.actions[i].scale(c)
+                out = term if out is None else out + term
+        return RationalMatrix.zeros(self.dim, self.dim) if out is None else out
 
     @classmethod
     def regular(cls, A: AlgebraPresentation) -> "ModulePresentation":
@@ -591,42 +648,74 @@ class FreeResolution:
         return ChainComplex(dims, diffs)
 
     def algebra_entries(self, n: int) -> List[List[tuple]]:
-        """The A-valued matrix (a_{tu}) of d_n, recovered from the blocks."""
-        d = self.complex.diff(n)
+        """The A-valued matrix (a_{tu}) of d_n, recovered from the blocks.
+
+        Block (t, u) is right multiplication by a_{tu}, so a_{tu} is the
+        block applied to the unit: only the unit's columns are read.
+        """
         da = self.algebra.dim
         r_tgt = self.ranks[n - 1] if n - 1 < len(self.ranks) else 0
         r_src = self.ranks[n] if n < len(self.ranks) else 0
-        out = []
-        for t in range(r_tgt):
-            row = []
-            for u in range(r_src):
-                block = d.submatrix(
-                    range(t * da, (t + 1) * da), range(u * da, (u + 1) * da)
-                )
-                row.append(block.apply(self.algebra.unit))
-            out.append(row)
-        return out
+        unit = {s: c for s, c in enumerate(self.algebra.unit) if c}
+        out = [[[_ZERO] * da for _ in range(r_src)] for _ in range(r_tgt)]
+        for i, j, x in self.complex.diff(n).nonzero_entries():
+            u, s = divmod(j, da)
+            c = unit.get(s)
+            if c is not None:
+                t, k = divmod(i, da)
+                out[t][u][k] += c * x
+        return [[tuple(entry) for entry in row] for row in out]
 
 
-def _free_action_matrices(A: AlgebraPresentation, rank: int) -> List[RationalMatrix]:
-    """Left action of each algebra basis element on A**rank."""
-    out = []
-    for i in range(A.dim):
-        L = A.left_mult_matrix(A.basis_vector(i))
-        out.append(RationalMatrix.block_diag([L] * rank) if rank else RationalMatrix.zeros(0, 0))
-    return out
+def _left_mult_matrices(A: AlgebraPresentation) -> List[RationalMatrix]:
+    """Left multiplication by each basis element b_i, as a dim(A) x dim(A) matrix."""
+    # column j of L_i is b_i * b_j
+    return [RationalMatrix.from_columns(A.products[i], nrows=A.dim) for i in range(A.dim)]
+
+
+def _free_action_matrices(left: Sequence[RationalMatrix], rank: int) -> List[RationalMatrix]:
+    """Left action of each basis element on A**rank as an explicit block matrix.
+
+    ``left`` is ``_left_mult_matrices(A)``.  Only walls store these matrices;
+    resolutions act slot by slot through ``_free_images`` instead.
+    """
+    return [RationalMatrix.block_diag([L] * rank) for L in left]
+
+
+def _free_images(left: Sequence[RationalMatrix], v: Sequence) -> List[tuple]:
+    """b_i * v for every basis element b_i, with v in A**r generator-major.
+
+    Each dim(A)-slice of v is one free summand and is multiplied on its own;
+    the result equals applying the block-diagonal action matrices.
+    """
+    da = left[0].nrows
+    zero = (_ZERO,) * da
+    parts: List[list] = [[] for _ in left]
+    for s in range(0, len(v), da):
+        x = v[s : s + da]
+        if any(x):
+            for part, L in zip(parts, left):
+                part.extend(L.apply(x))
+        else:
+            for part in parts:
+                part.extend(zero)
+    return [tuple(part) for part in parts]
 
 
 def _greedy_module_generators(
-    action_mats: Sequence[RationalMatrix],
+    act: Callable[[tuple], List[tuple]],
     candidates: Sequence[tuple],
     ambient_dim: int,
     order: str,
-) -> List[tuple]:
+) -> List[Tuple[tuple, List[tuple]]]:
     """Pick candidates whose A-span grows, scanning in the requested order.
 
-    The chosen vectors generate the same A-submodule as the full candidate
-    list; greedy selection keeps free ranks small and deterministic.
+    The candidates must be linearly independent and span an A-submodule,
+    as a kernel basis of a module map does.  ``act(v)`` lists the images of
+    v under the algebra basis elements.  Returns each chosen vector with its
+    images.  The chosen vectors generate the same A-submodule as the full
+    candidate list; greedy selection keeps free ranks small and
+    deterministic.
     """
     if order not in ("forward", "reversed"):
         raise ValueError(f"order must be 'forward' or 'reversed', got {order!r}")
@@ -634,14 +723,20 @@ def _greedy_module_generators(
     if order == "reversed":
         scan = scan[::-1]
     tracker = SpanTracker(ambient_dim)
-    gens = []
+    chosen = []
     for v in scan:
+        # once the span has the candidates' dimension it holds all of them
+        if tracker.rank == len(scan):
+            break
         if tracker.contains(v):
             continue
-        gens.append(v)
-        for mat in action_mats:
-            tracker.add(mat.apply(v))
-    return gens
+        images = act(v)
+        chosen.append((v, images))
+        for w in images:
+            if tracker.rank == len(scan):
+                break
+            tracker.add(w)
+    return chosen
 
 
 def free_resolution(
@@ -663,12 +758,11 @@ def free_resolution(
         raise ValueError("length must be nonnegative")
     da = A.dim
     std = [tuple(1 if k == i else 0 for k in range(M.dim)) for i in range(M.dim)]
-    gens0 = _greedy_module_generators(M.actions, std, M.dim, order)
+    gens0 = _greedy_module_generators(
+        lambda v: [m.apply(v) for m in M.actions], std, M.dim, order
+    )
     r0 = len(gens0)
-    aug_cols = []
-    for g in gens0:
-        for k in range(da):
-            aug_cols.append(M.actions[k].apply(g))
+    aug_cols = [w for _, images in gens0 for w in images]
     augmentation = (
         RationalMatrix.from_columns(aug_cols, nrows=M.dim)
         if aug_cols
@@ -678,6 +772,7 @@ def free_resolution(
     dims = {0: r0 * da}
     diffs: Dict[int, RationalMatrix] = {}
     current = augmentation
+    left = _left_mult_matrices(A)
     for n in range(1, length + 1):
         prev_rank = ranks[-1]
         prev_dim = prev_rank * da
@@ -686,18 +781,16 @@ def free_resolution(
             dims[n] = 0
             continue
         _, kernel, _ = rank_kernel_image(current)
-        free_acts = _free_action_matrices(A, prev_rank)
-        gens = _greedy_module_generators(free_acts, kernel, prev_dim, order)
+        gens = _greedy_module_generators(
+            lambda v: _free_images(left, v), kernel, prev_dim, order
+        )
         rn = len(gens)
         ranks.append(rn)
         dims[n] = rn * da
         if rn == 0:
             current = RationalMatrix.zeros(prev_dim, 0)
             continue
-        cols = []
-        for g in gens:
-            for k in range(da):
-                cols.append(free_acts[k].apply(g))
+        cols = [w for _, images in gens for w in images]
         d_n = RationalMatrix.from_columns(cols, nrows=prev_dim)
         diffs[n] = d_n
         current = d_n
@@ -774,11 +867,21 @@ def ext_dims(
     N: ModulePresentation,
     n_max: int,
     order: str = "forward",
+    res: Optional[FreeResolution] = None,
 ) -> List[int]:
-    """dim Ext_A**n(M, N) for n = 0..n_max, from a free resolution of M."""
+    """dim Ext_A**n(M, N) for n = 0..n_max, from a free resolution of M.
+
+    ``res`` may be a prebuilt resolution of M over A of length at least
+    n_max + 1; otherwise one is built.
+    """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    res = free_resolution(A, M, n_max + 1, order=order)
+    if res is None:
+        res = free_resolution(A, M, n_max + 1, order=order)
+    elif len(res.ranks) < n_max + 2:
+        raise ValueError(
+            f"a resolution of length {len(res.ranks) - 1} is too short, need {n_max + 1}"
+        )
     cochain = _hom_cochain_complex(res, N, n_max + 1)
     dims = cohomology_dims(cochain)
     return [dims.get(n, 0) for n in range(n_max + 1)]
@@ -1125,57 +1228,75 @@ class CrossedCompareReport:
         }
 
 
-def ext_action_matrices(
-    cp: CrossedProductAlgebra,
-    M_B: ModulePresentation,
-    eps_A: Sequence,
-    n: int,
-    res: Optional[FreeResolution] = None,
-    order: str = "forward",
-) -> Tuple[List[RationalMatrix], int]:
-    """The Q-action matrices on Ext_A**n(E, M) in a representative basis.
+@dataclass(frozen=True)
+class _RestrictedModule:
+    """A crossed-product module seen over the base algebra A.
 
-    Returns (one matrix per group element, homology dimension).  The action
-    of q sends a class [phi] to [U_q o phi o f_q], where f_q is a
-    sigma_q**(-1)-semilinear chain lift of the identity.
+    ``N`` is the A-module, ``U`` holds the operators U_q, one per group
+    element, and ``cochain`` is Hom_A(res, N) for the resolution ``res`` of
+    E over A.
     """
+
+    N: ModulePresentation
+    U: tuple
+    res: FreeResolution
+    cochain: ChainComplex
+
+
+def _restrict_to_base(
+    cp: CrossedProductAlgebra, M_B: ModulePresentation, res: FreeResolution, top: int
+) -> _RestrictedModule:
+    """Restrict M_B to A and build Hom_A(res, N) through cochain degree ``top``."""
     A = cp.base
     Q = cp.group
     N_actions = [M_B.actions[cp.basis_index(i, Q.identity)] for i in range(A.dim)]
     N = ModulePresentation(A, N_actions)
-    U = [M_B.actions[cp.basis_index(_unit_slot(A), q)] for q in range(Q.order)]
     # U_q as stored includes rho(b_unit); with a one-slot unit that IS U_q.
-    E_A = ModulePresentation.one_dimensional(A, eps_A)
-    if res is None:
-        res = free_resolution(A, E_A, n + 1, order=order)
-    cochain = _hom_cochain_complex(res, N, n + 1)
+    unit = _unit_slot(A)
+    U = tuple(M_B.actions[cp.basis_index(unit, q)] for q in range(Q.order))
+    return _RestrictedModule(N=N, U=U, res=res, cochain=_hom_cochain_complex(res, N, top))
+
+
+def ext_action_matrices(
+    restricted: _RestrictedModule,
+    lifts: Dict[int, List[RationalMatrix]],
+    n: int,
+) -> Tuple[List[RationalMatrix], int]:
+    """The action of Q's generators on Ext_A**n(E, M) in a representative basis.
+
+    ``restricted`` is M over A with its Hom complex through degree n + 1 or
+    beyond, and ``lifts`` maps each generator q of Q to f_q, a
+    sigma_q**(-1)-semilinear chain lift of the identity of the same
+    resolution, through degree n or beyond.  The action of q sends a class
+    [phi] to [U_q o phi o f_q].
+
+    Returns (one matrix per generator, in the order of ``lifts``, and the
+    homology dimension).  The generators determine the whole action, so the
+    joint fixed space of these matrices is the space of Q-invariants.
+    """
+    N, res, cochain = restricted.N, restricted.res, restricted.cochain
     record = homology(cochain, -n)
     reps = list(record.representatives)
     h = record.dim
+    if h == 0:
+        return [RationalMatrix.zeros(0, 0) for _ in lifts], 0
     _, _, cob_image = rank_kernel_image(cochain.diff(-(n - 1))) if n >= 1 else (0, [], [])
+    # representatives and coboundaries are independent, so every moved
+    # class has unique coordinates; the first h are its class
+    span = RationalMatrix.from_columns(reps + cob_image, nrows=cochain.dim(-n))
+    homs = [_cochain_vector_to_hom_matrix(rep, res, N, n) for rep in reps]
     mats = []
-    for q in range(Q.order):
-        tau = cp.cocycle.action[Q.inv(q)]
-        lifts = _lift_semilinear_chain_map(res, tau, n, order=order)
-        cols = []
-        for rep in reps:
-            H = _cochain_vector_to_hom_matrix(rep, res, N, n)
-            moved = U[q] @ H @ lifts[n]
-            w = _hom_matrix_to_cochain_vector(moved, res, N, n)
-            span_cols = reps + cob_image
-            sol = solve_vector(
-                RationalMatrix.from_columns(span_cols, nrows=len(w)), w
-            ) if span_cols else tuple()
-            if sol is None:
-                raise CertificateError(
-                    f"moved class leaves the cocycle space at degree {n}, q={q}"
-                )
-            cols.append(tuple(sol[: len(reps)]))
-        mats.append(
-            RationalMatrix.from_columns(cols, nrows=h)
-            if cols
-            else RationalMatrix.zeros(h, 0)
-        )
+    for q, lift in lifts.items():
+        f = lift[n]
+        moved = [
+            _hom_matrix_to_cochain_vector(restricted.U[q] @ H @ f, res, N, n) for H in homs
+        ]
+        sol = solve_matrix(span, RationalMatrix.from_columns(moved, nrows=span.nrows))
+        if sol is None:
+            raise CertificateError(
+                f"moved class leaves the cocycle space at degree {n}, q={q}"
+            )
+        mats.append(sol.submatrix(range(h), range(h)))
     return mats, h
 
 
@@ -1188,41 +1309,54 @@ def _unit_slot(A: AlgebraPresentation) -> int:
 
 def crossed_ext_compare(
     cp: CrossedProductAlgebra,
-    M_B: ModulePresentation,
+    modules: Sequence[ModulePresentation],
     eps_A: Sequence,
     n_max: int,
     order: str = "forward",
-) -> CrossedCompareReport:
+) -> List[CrossedCompareReport]:
     """Certify dim Ext_B**n(E, M) = dim (Ext_A**n(E, M))**Q for n <= n_max.
 
-    The left side resolves the one-dimensional module extending eps_A over
-    the whole crossed product B; the right side computes the Q-action on
-    Ext over A through semilinear chain lifts and takes joint invariants.
+    Returns one report per module M in ``modules``.  The left side
+    resolves the one-dimensional module extending eps_A over the whole
+    crossed product B; the right side computes the action of Q on Ext over
+    A through semilinear chain lifts and takes joint invariants.
+
+    The module-independent work is done once per call: E is resolved once
+    over B and once over A, and each generator of Q is lifted once, through
+    n_max, so ``ext_action_matrices`` gives one matrix per generator.  For
+    each module the restriction to A and its Hom complex are built once,
+    through degree n_max + 1, and every degree is read from them.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     A = cp.base
     Q = cp.group
-    eps_B = []
-    for q in range(Q.order):
-        for i in range(A.dim):
-            eps_B.append(Fraction(eps_A[i]))
+    eps_B = [Fraction(eps_A[i]) for _ in range(Q.order) for i in range(A.dim)]
     E_B = ModulePresentation.one_dimensional(cp.algebra, eps_B)
-    lhs = ext_dims(cp.algebra, E_B, M_B, n_max, order=order)
+    res_B = free_resolution(cp.algebra, E_B, n_max + 1, order=order)
     E_A = ModulePresentation.one_dimensional(A, eps_A)
-    res = free_resolution(A, E_A, n_max + 2, order=order)
-    base_dims = []
-    inv_dims = []
-    for n in range(n_max + 1):
-        mats, h = ext_action_matrices(cp, M_B, eps_A, n, res=res, order=order)
-        base_dims.append(h)
-        if h == 0:
-            inv_dims.append(0)
-            continue
-        fixed = invariants(mats)
-        inv_dims.append(len(fixed))
-    ok = lhs == inv_dims
-    return CrossedCompareReport(
-        lhs_dims=tuple(lhs),
-        base_ext_dims=tuple(base_dims),
-        invariant_dims=tuple(inv_dims),
-        ok=ok,
-    )
+    res_A = free_resolution(A, E_A, n_max + 1, order=order)
+    lifts = {
+        q: _lift_semilinear_chain_map(res_A, cp.cocycle.action[Q.inv(q)], n_max, order=order)
+        for q in Q.generators()
+    }
+    reports = []
+    for M_B in modules:
+        lhs = ext_dims(cp.algebra, E_B, M_B, n_max, order=order, res=res_B)
+        restricted = _restrict_to_base(cp, M_B, res_A, n_max + 1)
+        base_dims = []
+        inv_dims = []
+        for n in range(n_max + 1):
+            mats, h = ext_action_matrices(restricted, lifts, n)
+            base_dims.append(h)
+            # with no generators (trivial Q) every class is invariant
+            inv_dims.append(len(invariants(mats)) if h and mats else h)
+        reports.append(
+            CrossedCompareReport(
+                lhs_dims=tuple(lhs),
+                base_ext_dims=tuple(base_dims),
+                invariant_dims=tuple(inv_dims),
+                ok=lhs == inv_dims,
+            )
+        )
+    return reports

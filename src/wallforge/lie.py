@@ -241,10 +241,18 @@ def validate_lie(g: LieAlgebra, M: Optional[LieModule] = None) -> LieViolations:
     return LieViolations(antisymmetry=tuple(anti), jacobi=tuple(jac), module=tuple(mod))
 
 
+class LieDataError(ValueError):
+    """Structure constants or a module action that break the axioms."""
+
+    def __init__(self, violations: LieViolations):
+        super().__init__(f"invalid Lie data: {violations}")
+        self.violations = violations
+
+
 def _require_valid(g: LieAlgebra, M: Optional[LieModule] = None) -> None:
     v = validate_lie(g, M)
     if not v.ok:
-        raise ValueError(f"invalid Lie data: {v}")
+        raise LieDataError(v)
 
 
 def _accumulate(row: Dict[int, Fraction], col: int, x: Fraction) -> None:

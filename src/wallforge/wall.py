@@ -38,6 +38,7 @@ from wallforge.groupalg import (
     FreeResolution,
     ModulePresentation,
     _free_action_matrices,
+    _left_mult_matrices,
     ext_dims,
 )
 from wallforge.linalg import (
@@ -386,7 +387,8 @@ def _column_from_resolution(res: FreeResolution) -> WallColumn:
     da = A.dim
     ranks = res.ranks
     dims = tuple(r * da for r in ranks)
-    actions = tuple(tuple(_free_action_matrices(A, r)) for r in ranks)
+    left = _left_mult_matrices(A)
+    actions = tuple(tuple(_free_action_matrices(left, r)) for r in ranks)
     diffs = tuple(res.complex.diff(j) for j in range(1, len(ranks)))
     return WallColumn(
         dims=dims,

@@ -184,3 +184,83 @@ def radius_ladder(
             witness = m
             break
     return h, ell, witness is not None, witness
+
+
+# -- Koszul-Molien series ------------------------------------------------------
+
+
+def _det(m: Sequence[Sequence]) -> Fraction:
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return Fraction(1)
+    total = Fraction(0)
+    for j, x in enumerate(m[0]):
+        if x:
+            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+            total += (-1) ** j * Fraction(x) * _det(minor)
+    return total
+
+
+def matrix_group(generators: Sequence[Sequence[Sequence]]) -> List[List[List[Fraction]]]:
+    """Every element of the finite matrix group the given matrices generate."""
+    n = len(generators[0])
+    gens = [[[Fraction(x) for x in row] for row in g] for g in generators]
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    seen = {tuple(map(tuple, identity))}
+    out = [identity]
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in gens:
+                hg = mat_mul(h, g)
+                key = tuple(map(tuple, hg))
+                if key not in seen:
+                    seen.add(key)
+                    out.append(hg)
+                    nxt.append(hg)
+        frontier = nxt
+    return out
+
+
+def molien_coefficients(
+    group: Sequence[Sequence[Sequence]], character, n_max: int
+) -> List[int]:
+    """Coefficients of t**0..t**n_max in (1/|G|) sum_g chi(g) / det(1 - t g).
+
+    ``group`` lists every element of a finite matrix group G acting on V and
+    ``character(g)`` is the trace of g on a module W.  By Koszul duality and
+    Molien's theorem these are dim Ext**n over the crossed product of the
+    exterior algebra on V by G, from its augmentation module to W, when
+    the exterior generators act on W by zero.  Each 1/det(1 - t g) is
+    expanded by dividing power series, with det(1 - t g) from the
+    principal minors of g.
+    """
+    total = [Fraction(0)] * (n_max + 1)
+    for g in group:
+        n = len(g)
+        # det(1 - t g) = sum_k (-1)**k e_k t**k, e_k the sum of principal k-minors
+        denom = [Fraction(0)] * (n + 1)
+        for mask in range(1 << n):
+            idx = [i for i in range(n) if mask >> i & 1]
+            minor = [[g[a][b] for b in idx] for a in idx]
+            denom[len(idx)] += (-1) ** len(idx) * _det(minor)
+        series = [Fraction(0)] * (n_max + 1)
+        for k in range(n_max + 1):
+            acc = Fraction(int(k == 0))
+            for i in range(1, min(k, n) + 1):
+                acc -= denom[i] * series[k - i]
+            series[k] = acc  # denom[0] is 1
+        chi = Fraction(character(g))
+        total = [t + chi * s for t, s in zip(total, series)]
+    coeffs = [t / len(group) for t in total]
+    assert all(c.denominator == 1 for c in coeffs), coeffs
+    return [int(c) for c in coeffs]
+
+
+def trace(m: Sequence[Sequence]) -> Fraction:
+    return sum((Fraction(m[i][i]) for i in range(len(m))), Fraction(0))
+
+
+def determinant(m: Sequence[Sequence]) -> Fraction:
+    return _det([[Fraction(x) for x in row] for row in m])

@@ -64,6 +64,16 @@ class TestPExponent:
         with pytest.raises(ValueError):
             PExponent.of(2, Fraction(1)) * PExponent.of(3, Fraction(1))
 
+    def test_exponent_is_one_fraction_however_given(self):
+        for exponent in (2, Fraction(2), Fraction(4, 2), "2"):
+            a = PExponent.of(3, exponent)
+            assert type(a.exponent) is Fraction
+            assert a == PExponent(3, 2) == PExponent(3, Fraction(2))
+            assert hash(a) == hash(PExponent(3, 2))
+        # a Fraction exponent is kept as given, not wrapped again
+        e = Fraction(-1, 4)
+        assert PExponent.of(3, e).exponent is e
+
     def test_json_round_trip(self):
         a = PExponent.of(7, Fraction(-3, 4))
         assert PExponent.from_json(a.to_json()) == a

@@ -122,6 +122,34 @@ class TestCeHomology:
         assert code == 1
         assert "rejected" in err
 
+    def test_structure_constants_are_checked_once(self, capsys, tmp_path, monkeypatch):
+        from wallforge import lie
+
+        calls = []
+        original = lie.validate_lie
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(lie, "validate_lie", counted)
+        _run_json(capsys, ["ce-homology", "--lie", _sl2_file(tmp_path)])
+        assert len(calls) == 1
+        code, _, err = _run(capsys, ["ce-homology", "--lie", _bad_lie_file(tmp_path)])
+        assert code == 1 and len(calls) == 2
+        assert "structure constants rejected: antisymmetry [], jacobi [(0, 1, 2)]" in err
+
+    def test_replay_of_bad_structure_constants_is_invalid(self, capsys, tmp_path):
+        path = tmp_path / "ce.json"
+        assert main(["ce-homology", "--lie", _sl2_file(tmp_path), "--out", str(path)]) == 0
+        data = json.loads(path.read_text())
+        with open(_bad_lie_file(tmp_path)) as fh:
+            data["inputs"]["lie"] = json.load(fh)
+        path.write_text(json.dumps(data))
+        code, out, _ = _run(capsys, ["verify-replay", str(path)])
+        assert code == 1
+        assert "INVALID" in out and "structure constants rejected" in out
+
     def test_incompatible_module_rejected(self, capsys, tmp_path):
         lie = tmp_path / "heis.json"
         lie.write_text(json.dumps(LieAlgebra.heisenberg().to_json()))
@@ -137,8 +165,9 @@ class TestCeHomology:
                 }
             )
         )
-        code, _, _ = _run(capsys, ["ce-homology", "--lie", str(lie), "--module", str(mod)])
+        code, _, err = _run(capsys, ["ce-homology", "--lie", str(lie), "--module", str(mod)])
         assert code == 1
+        assert "module action rejected: [(0, 1)]" in err
 
     def test_missing_file(self, capsys):
         code, _, err = _run(capsys, ["ce-homology", "--lie", "/nonexistent.json"])
@@ -159,6 +188,22 @@ class TestWallDemo:
         dump = _run_json(capsys, ["wall-demo", "--group", "S3", "--degrees", "2"])
         assert dump["group_order"] == 6
         assert dump["truncated"]["certificates"]["betti_match"] is True
+
+    def test_each_assembly_is_verified_once(self, capsys, monkeypatch):
+        from wallforge import wall
+
+        calls = []
+        original = wall.verify_induction_identities
+
+        def counted(W):
+            calls.append(W)
+            return original(W)
+
+        monkeypatch.setattr(wall, "verify_induction_identities", counted)
+        dump = _run_json(capsys, ["wall-demo", "--group", "Z2", "--degrees", "3"])
+        assert dump["truncated"] is not None
+        # the built assembly and its truncation, each checked by its construction
+        assert len(calls) == 2
 
     def test_trivial_group_rejected(self, capsys):
         code, _, _ = _run(capsys, ["wall-demo", "--group", "Z1", "--degrees", "2"])

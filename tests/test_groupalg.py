@@ -3,13 +3,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import dense_oracle as dense
 from wallforge.complexes import CertificateError, homology_dims, is_exact
 from wallforge.groupalg import (
     AlgebraPresentation,
     CocycleTable,
     FiniteGroupTable,
     ModulePresentation,
+    _free_action_matrices,
+    _free_images,
+    _left_mult_matrices,
     averaging_idempotent,
     crossed_ext_compare,
     crossed_module,
@@ -222,6 +228,15 @@ class TestExt:
         E = ModulePresentation.one_dimensional(A, A.augmentation_values())
         assert ext_dims(A, E, E, 3) == [1, 2, 3, 4]
 
+    def test_prebuilt_resolution(self):
+        A = AlgebraPresentation.exterior_algebra(2)
+        E = ModulePresentation.one_dimensional(A, A.augmentation_values())
+        res = free_resolution(A, E, 4)
+        for target in (E, ModulePresentation.regular(A)):
+            assert ext_dims(A, E, target, 3, res=res) == ext_dims(A, E, target, 3)
+        with pytest.raises(ValueError, match="too short"):
+            ext_dims(A, E, E, 4, res=res)
+
     def test_two_routes_agree(self):
         """The resolution route and the constrained-hom route must match."""
         A = AlgebraPresentation.exterior_algebra(2)
@@ -277,7 +292,7 @@ class TestCrossedProduct:
             [RationalMatrix.identity(1), RationalMatrix.zeros(1, 1)],
             [RationalMatrix.identity(1), RationalMatrix.identity(1)],
         )
-        report = crossed_ext_compare(cp, triv, [1, 0], 4)
+        [report] = crossed_ext_compare(cp, [triv], [1, 0], 4)
         assert report.ok
         assert list(report.lhs_dims) == [1, 0, 1, 0, 1]
         assert list(report.base_ext_dims) == [1, 1, 1, 1, 1]
@@ -289,7 +304,7 @@ class TestCrossedProduct:
             [RationalMatrix.identity(1), RationalMatrix.zeros(1, 1)],
             [RationalMatrix.identity(1), RationalMatrix.diagonal([-1])],
         )
-        report = crossed_ext_compare(cp, det, [1, 0], 4)
+        [report] = crossed_ext_compare(cp, [det], [1, 0], 4)
         assert report.ok
         assert list(report.lhs_dims) == [0, 1, 0, 1, 0]
 
@@ -300,5 +315,130 @@ class TestCrossedProduct:
             [RationalMatrix.identity(1), RationalMatrix.zeros(1, 1)],
             [RationalMatrix.identity(1), RationalMatrix.identity(1)],
         )
-        data = crossed_ext_compare(cp, triv, [1, 0], 2).to_json()
+        [report] = crossed_ext_compare(cp, [triv], [1, 0], 2)
+        data = report.to_json()
         assert set(data) == {"crossed_ext_dims", "base_ext_dims", "invariant_dims", "ok"}
+
+
+# ---------------------------------------------------------------------------
+# free modules act slot by slot; the algebra check runs on nonzero constants
+# ---------------------------------------------------------------------------
+
+
+def _sample_algebras():
+    Z2 = FiniteGroupTable.cyclic(2)
+    ext1 = AlgebraPresentation.exterior_algebra(1)
+    flip = crossed_product(ext1, Z2, [RationalMatrix.identity(2), RationalMatrix.diagonal([1, -1])])
+    # Z3 with its identity listed last, so the unit is not basis element 0
+    shifted = FiniteGroupTable([[(i + j + 1) % 3 for j in range(3)] for i in range(3)])
+    out = [AlgebraPresentation.exterior_algebra(r) for r in range(3)]
+    out += [AlgebraPresentation.group_algebra(G) for G in standard_groups(6)[1:] + [shifted]]
+    return out + [flip.algebra]
+
+
+_ALGEBRAS = _sample_algebras()
+
+_COEFF = st.one_of(
+    st.just(0), st.just(0), st.integers(-2, 2), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+)
+
+
+@st.composite
+def _free_vectors(draw):
+    A = _ALGEBRAS[draw(st.integers(0, len(_ALGEBRAS) - 1))]
+    rank = draw(st.integers(1, 3))
+    v = draw(st.lists(_COEFF, min_size=rank * A.dim, max_size=rank * A.dim))
+    return A, rank, v
+
+
+@given(_free_vectors())
+def test_slotwise_action_equals_the_block_diagonal_matrices(case):
+    A, rank, v = case
+    left = _left_mult_matrices(A)
+    blocks = [
+        dense.RationalMatrix.block_diag(
+            [dense.RationalMatrix(A.left_mult_matrix(A.basis_vector(i)).rows, ncols=A.dim)] * rank
+        )
+        for i in range(A.dim)
+    ]
+    assert _free_images(left, v) == [B.apply(v) for B in blocks]
+    assert [M.rows for M in _free_action_matrices(left, rank)] == [B.rows for B in blocks]
+
+
+def _dense_validation_message(products, unit):
+    """The former dense unit and associativity check, as the oracle.
+
+    Returns the message of the first failure, or None when the table passes.
+    """
+    dim = len(products)
+
+    def multiply(u, v):
+        out = [Fraction(0)] * dim
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                if a and b:
+                    for k, c in enumerate(products[i][j]):
+                        out[k] += Fraction(a) * Fraction(b) * Fraction(c)
+        return tuple(out)
+
+    def basis(i):
+        return tuple(Fraction(int(k == i)) for k in range(dim))
+
+    for i in range(dim):
+        if multiply(unit, basis(i)) != basis(i):
+            return f"left unit law fails on basis {i}"
+        if multiply(basis(i), unit) != basis(i):
+            return f"right unit law fails on basis {i}"
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                if multiply(products[i][j], basis(k)) != multiply(basis(i), products[j][k]):
+                    return f"associativity fails at triple ({i},{j},{k})"
+    return None
+
+
+@st.composite
+def _perturbed_tables(draw):
+    A = _ALGEBRAS[draw(st.integers(0, len(_ALGEBRAS) - 1))]
+    n = A.dim
+    products = [[list(entry) for entry in row] for row in A.products]
+    unit = list(A.unit)
+    delta = st.sampled_from([1, -1, 2, Fraction(1, 2)])
+    for _ in range(draw(st.integers(0, 2))):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        products[i][j][k] += draw(delta)
+    if draw(st.booleans()) and draw(st.booleans()):
+        unit[draw(st.integers(0, n - 1))] += draw(delta)
+    return products, unit
+
+
+@given(_perturbed_tables())
+def test_sparse_algebra_check_refuses_where_the_dense_one_did(table):
+    products, unit = table
+    want = _dense_validation_message(products, unit)
+    try:
+        AlgebraPresentation(products, unit)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert got == want
+
+
+def test_generators_are_greedy_and_generate():
+    for G in standard_groups(8):
+        gens = G.generators()
+        assert G.identity not in gens
+        # each generator lies outside the subgroup of the ones before it
+        reached = {G.identity}
+        for s in gens:
+            assert s not in reached
+            reached.add(s)
+            # close under products: the subgroup generated so far
+            while True:
+                more = {G.mul(a, b) for a in reached for b in reached} - reached
+                if not more:
+                    break
+                reached |= more
+        assert reached == set(range(G.order)), G
+    assert FiniteGroupTable.cyclic(6).generators() == [1]
+    assert FiniteGroupTable.symmetric3().generators() == [1, 3]
