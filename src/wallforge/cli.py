@@ -277,10 +277,10 @@ def _wall_dump_sections(wall, truncate: Optional[int]) -> dict:
         out["truncated"] = None
         return out
     trunc = truncated_wall(wall, truncate)
-    _, cert = augmentation_quasi_iso(trunc)
-    t_total = total_complex(trunc)
-    betti_total = _dim_list(homology_dims(t_total), t_total.hi)
-    betti_base = _dim_list(homology_dims(base_complex(trunc)), t_total.hi)
+    eps, cert = augmentation_quasi_iso(trunc)
+    hi = eps.source.hi
+    betti_total = _dim_list(cert.total_homology, hi)
+    betti_base = _dim_list(cert.base_homology, hi)
     if not cert.betti_match or betti_total != betti_base:
         raise CertificateError(
             f"total Betti numbers {betti_total} disagree with the base {betti_base}"

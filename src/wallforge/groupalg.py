@@ -31,15 +31,12 @@ from wallforge.complexes import (
 from wallforge.linalg import (
     RationalMatrix,
     SpanTracker,
+    canonical,
     rank_kernel_image,
     solve_in_subspace,
     solve_matrix,
     solve_vector,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 # ---------------------------------------------------------------------------
 # finite groups
@@ -313,7 +310,7 @@ def _combination(scaled: Iterable[Tuple[Fraction, Sequence[tuple]]]) -> dict:
     out: dict = {}
     for c, v in scaled:
         for k, x in v:
-            out[k] = out.get(k, _ZERO) + c * x
+            out[k] = out.get(k, 0) + c * x
     return {k: x for k, x in out.items() if x}
 
 
@@ -321,8 +318,9 @@ class AlgebraPresentation:
     """An associative unital algebra by structure constants.
 
     ``products[i][j]`` is the coefficient vector of b_i * b_j; ``unit`` is a
-    coefficient vector.  Associativity on basis triples and both unit laws
-    are checked on construction.
+    coefficient vector.  Both are stored as canonical scalars (``int`` when
+    integral, ``Fraction`` otherwise).  Associativity on basis triples and
+    both unit laws are checked on construction.
     """
 
     __slots__ = ("dim", "products", "unit", "labels", "_terms")
@@ -337,14 +335,14 @@ class AlgebraPresentation:
         dim = len(products)
         prods = tuple(
             tuple(
-                tuple(x if type(x) is Fraction else Fraction(x) for x in entry) for entry in row
+                tuple(x if type(x) is int else canonical(x) for x in entry) for entry in row
             )
             for row in products
         )
         for row in prods:
             if len(row) != dim or any(len(e) != dim for e in row):
                 raise ValueError("structure constant table has wrong shape")
-        u = tuple(Fraction(x) for x in unit)
+        u = tuple(canonical(x) for x in unit)
         if len(u) != dim:
             raise ValueError("unit vector has wrong length")
         object.__setattr__(self, "dim", dim)
@@ -372,7 +370,7 @@ class AlgebraPresentation:
         terms = self._terms
         unit = [(s, a) for s, a in enumerate(self.unit) if a]
         for i in range(self.dim):
-            bi = {i: _ONE}
+            bi = {i: 1}
             if _combination((a, terms[s][i]) for s, a in unit) != bi:
                 raise ValueError(f"left unit law fails on basis {i}")
             if _combination((a, terms[i][s]) for s, a in unit) != bi:
@@ -396,22 +394,23 @@ class AlgebraPresentation:
                         raise ValueError(f"associativity fails at triple ({i},{j},{k})")
 
     def multiply(self, u: Sequence, v: Sequence) -> tuple:
-        out = [_ZERO] * self.dim
-        vs = [(j, b if type(b) is Fraction else Fraction(b)) for j, b in enumerate(v) if b]
+        """The product u * v as a tuple of canonical scalars."""
+        out = [0] * self.dim
+        vs = [(j, b if type(b) is int else canonical(b)) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if not a:
                 continue
-            if type(a) is not Fraction:
-                a = Fraction(a)
+            if type(a) is not int:
+                a = canonical(a)
             terms = self._terms[i]
             for j, b in vs:
                 ab = a * b
                 for k, c in terms[j]:
                     out[k] += ab * c
-        return tuple(out)
+        return tuple(x if type(x) is int else canonical(x) for x in out)
 
     def basis_vector(self, i: int) -> tuple:
-        return tuple(_ONE if k == i else _ZERO for k in range(self.dim))
+        return tuple(1 if k == i else 0 for k in range(self.dim))
 
     def left_mult_matrix(self, u: Sequence) -> RationalMatrix:
         cols = [self.multiply(u, self.basis_vector(j)) for j in range(self.dim)]
@@ -426,7 +425,7 @@ class AlgebraPresentation:
         x = solve_vector(self.left_mult_matrix(u), self.unit)
         if x is None:
             return None
-        if self.multiply(x, u) != tuple(Fraction(c) for c in self.unit):
+        if self.multiply(x, u) != self.unit:
             return None
         return tuple(x)
 
@@ -657,7 +656,7 @@ class FreeResolution:
         r_tgt = self.ranks[n - 1] if n - 1 < len(self.ranks) else 0
         r_src = self.ranks[n] if n < len(self.ranks) else 0
         unit = {s: c for s, c in enumerate(self.algebra.unit) if c}
-        out = [[[_ZERO] * da for _ in range(r_src)] for _ in range(r_tgt)]
+        out = [[[0] * da for _ in range(r_src)] for _ in range(r_tgt)]
         for i, j, x in self.complex.diff(n).nonzero_entries():
             u, s = divmod(j, da)
             c = unit.get(s)
@@ -689,7 +688,7 @@ def _free_images(left: Sequence[RationalMatrix], v: Sequence) -> List[tuple]:
     the result equals applying the block-diagonal action matrices.
     """
     da = left[0].nrows
-    zero = (_ZERO,) * da
+    zero = (0,) * da
     parts: List[list] = [[] for _ in left]
     for s in range(0, len(v), da):
         x = v[s : s + da]
@@ -959,7 +958,8 @@ class CocycleTable:
         return cls(group=Q, algebra=A, action=tuple(action), values=values)
 
     def value(self, q1: int, q2: int) -> tuple:
-        return tuple(Fraction(x) for x in self.values[(q1, q2)])
+        """t(q1, q2) as a tuple of canonical scalars."""
+        return tuple(canonical(x) for x in self.values[(q1, q2)])
 
     def apply(self, q: int, u: Sequence) -> tuple:
         return self.action[q].apply(u)
@@ -968,7 +968,7 @@ class CocycleTable:
         Q, A = self.group, self.algebra
         out = []
         ident = Q.identity
-        unit = tuple(Fraction(x) for x in A.unit)
+        unit = A.unit
         if len(self.action) != Q.order:
             return [f"need {Q.order} action matrices, got {len(self.action)}"]
         for q in range(Q.order):
@@ -1000,16 +1000,17 @@ class CocycleTable:
                 out.append(f"normalization t(1,{q}) != 1")
             if tuple(self.value(q, ident)) != unit:
                 out.append(f"normalization t({q},1) != 1")
+        inverses = {}
         for (q1, q2) in self.values:
-            t = self.value(q1, q2)
-            if A.inverse(t) is None:
+            inv = inverses[(q1, q2)] = A.inverse(self.value(q1, q2))
+            if inv is None:
                 out.append(f"t({q1},{q2}) is not invertible")
         if out:
             return out
         for q1 in range(Q.order):
             for q2 in range(Q.order):
                 t12 = self.value(q1, q2)
-                t12_inv = A.inverse(t12)
+                t12_inv = inverses[(q1, q2)]
                 comp = self.action[q1] @ self.action[q2]
                 twisted = (
                     A.left_mult_matrix(t12)
@@ -1051,9 +1052,9 @@ class CrossedProductAlgebra:
         """a # q as a coefficient vector (q defaults to the identity)."""
         if q < 0:
             q = self.group.identity
-        out = [Fraction(0)] * self.algebra.dim
+        out = [0] * self.algebra.dim
         for i, c in enumerate(u):
-            out[self.basis_index(i, q)] = Fraction(c)
+            out[self.basis_index(i, q)] = canonical(c)
         return tuple(out)
 
     def group_unit_element(self, q: int) -> tuple:
@@ -1094,15 +1095,15 @@ def crossed_product(
                         A.basis_vector(i),
                         A.multiply(cocycle.apply(q1, A.basis_vector(j)), cocycle.value(q1, q2)),
                     )
-                    entry = [Fraction(0)] * dim
+                    entry = [0] * dim
                     q3 = Q.mul(q1, q2)
                     for k, c in enumerate(a):
                         if c:
                             entry[q3 * da + k] = c
                     products[q1 * da + i][q2 * da + j] = entry
-    unit = [Fraction(0)] * dim
+    unit = [0] * dim
     for k, c in enumerate(A.unit):
-        unit[Q.identity * da + k] = Fraction(c)
+        unit[Q.identity * da + k] = c
     labels = None
     if A.labels:
         labels = [f"{A.labels[i]}#g{q}" for q in range(Q.order) for i in range(da)]

@@ -22,7 +22,7 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from wallforge.complexes import ChainComplex, homology_dims
-from wallforge.linalg import RationalMatrix
+from wallforge.linalg import RationalMatrix, Scalar, canonical
 
 
 def wedge_basis(d: int, j: int) -> List[Tuple[int, ...]]:
@@ -255,9 +255,9 @@ def _require_valid(g: LieAlgebra, M: Optional[LieModule] = None) -> None:
         raise LieDataError(v)
 
 
-def _accumulate(row: Dict[int, Fraction], col: int, x: Fraction) -> None:
-    """``row[col] += x`` on a sparse row, dropping the entry if it cancels."""
-    y = row.get(col, 0) + x
+def _accumulate(row: Dict[int, Scalar], col: int, x: Scalar) -> None:
+    """``row[col] += x`` on a sparse row of canonical scalars, dropping the entry if it cancels."""
+    y = canonical(row.get(col, 0) + x)
     if y:
         row[col] = y
     else:
@@ -279,7 +279,7 @@ def ce_complex(g: LieAlgebra, M: LieModule) -> ChainComplex:
     dims = {j: m * comb(d, j) for j in range(d + 1)}
     action_entries = [list(A.nonzero_entries()) for A in M.actions]
     bracket_entries = {
-        (p, q): [(k, c) for k, c in enumerate(g.bracket(p, q)) if c]
+        (p, q): [(k, canonical(c)) for k, c in enumerate(g.bracket(p, q)) if c]
         for p in range(d)
         for q in range(p + 1, d)
     }
@@ -288,7 +288,7 @@ def ce_complex(g: LieAlgebra, M: LieModule) -> ChainComplex:
         src = wedge_basis(d, j)
         tgt = wedge_basis(d, j - 1)
         tgt_index = {S: idx for idx, S in enumerate(tgt)}
-        rows: List[Dict[int, Fraction]] = [{} for _ in range(m * len(tgt))]
+        rows: List[Dict[int, Scalar]] = [{} for _ in range(m * len(tgt))]
         for s_idx, S in enumerate(src):
             col0 = s_idx * m
             for t in range(j):

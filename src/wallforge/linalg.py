@@ -1,11 +1,20 @@
 """Exact linear algebra over the rationals.
 
-All matrices are immutable and carry ``Fraction`` entries, so every rank,
-kernel, and solution set is computed exactly.  Storage is sparse: each row
-is a ``{column: Fraction}`` dict holding only its nonzero entries, and no
-zero is ever stored.  Products, stacking, elimination and serialization
-touch nonzeros only; ``rows``, ``row``, ``col`` and ``columns`` still hand
-out dense tuples, and ``rows`` is built once on first use and cached.
+All matrices are immutable and hold exact rational entries, so every rank,
+kernel, and solution set is computed exactly.  Entries are canonical
+scalars: an ``int`` when the value is integral and a ``Fraction``
+otherwise, never a float.  Constructors convert what they are given, and
+every arithmetic result is brought back to that form before it is stored,
+so integral matrices stay in fast ``int`` arithmetic and one non-unit pivot
+does not turn a whole elimination into ``Fraction``s.  ``str`` of a
+canonical scalar equals ``str`` of the same value as a ``Fraction``, so
+serialized output does not depend on the representation.
+
+Storage is sparse: each row is a ``{column: scalar}`` dict holding only its
+nonzero entries, and no zero is ever stored.  Products, stacking,
+elimination and serialization touch nonzeros only; ``rows``, ``row``,
+``col`` and ``columns`` still hand out dense tuples, and ``rows`` is built
+once on first use and cached.
 
 Pivoting is deterministic (first nonzero entry scanning columns left to
 right, rows top to bottom) and particular solutions set free variables to
@@ -29,45 +38,69 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
-Vector = tuple  # tuple of Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Vector = tuple  # tuple of canonical scalars
 
 
-def _sparse_row(row: Iterable[Scalar]) -> dict:
-    """Nonzero entries of a dense row; ``Fraction`` values are kept as they are."""
+def canonical(x) -> Scalar:
+    """``x`` as a canonical scalar: an ``int`` when integral, else a ``Fraction``.
+
+    Anything ``Fraction`` accepts is accepted, with the same errors.
+    """
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x._numerator if x._denominator == 1 else x
+
+
+def _inverse(x: Scalar) -> Scalar:
+    """``1 / x`` for a nonzero canonical scalar, canonical; +-1 stays an ``int``."""
+    if type(x) is int:
+        return x if x == 1 or x == -1 else Fraction(1, x)
+    n, d = x._numerator, x._denominator
+    if n == 1:
+        return d
+    if n == -1:
+        return -d
+    return Fraction(d, n)
+
+
+def _sparse_row(row: Iterable) -> dict:
+    """Nonzero entries of a dense row, as canonical scalars."""
     out = {}
     for j, x in enumerate(row):
-        if type(x) is Fraction:
-            if x._numerator:
-                out[j] = x
-        elif type(x) is int:
+        if type(x) is int:
             if x:
-                out[j] = Fraction(x)
+                out[j] = x
         else:
-            x = Fraction(x)
-            if x._numerator:
+            x = canonical(x)
+            if x:
                 out[j] = x
     return out
 
 
-def _is_one(x: Fraction) -> bool:
-    return x._numerator == 1 and x._denominator == 1
+def _canonical_row(acc: dict) -> dict:
+    """``acc`` without its zeros and with integral ``Fraction`` values as ``int``."""
+    out = {}
+    for j, x in acc.items():
+        if type(x) is not int and x._denominator == 1:
+            x = x._numerator
+        if x:
+            out[j] = x
+    return out
 
 
-def _sub_multiple(row: dict, f: Fraction, top: dict) -> None:
-    """``row -= f * top`` in place, dropping entries that cancel."""
+def _sub_multiple(row: dict, f: Scalar, top: dict) -> None:
+    """``row -= f * top`` in place, canonical, dropping entries that cancel."""
     for j, b in top.items():
         x = row.get(j)
-        if x is None:
-            row[j] = -f * b
+        y = -f * b if x is None else x - f * b
+        if type(y) is not int and y._denominator == 1:
+            y = y._numerator
+        if y:
+            row[j] = y
         else:
-            y = x - f * b
-            if y._numerator:
-                row[j] = y
-            else:
-                del row[j]
+            del row[j]
 
 
 def _leads(rows: Sequence[dict]) -> dict:
@@ -80,7 +113,7 @@ def _leads(rows: Sequence[dict]) -> dict:
 
 
 class RationalMatrix:
-    """An immutable matrix of ``Fraction`` entries, stored as sparse rows."""
+    """An immutable matrix of canonical rational scalars, stored as sparse rows."""
 
     __slots__ = ("_rows", "_ncols", "_rref_cache", "_hash", "_dense")
 
@@ -110,7 +143,7 @@ class RationalMatrix:
 
     @classmethod
     def _from_sparse(cls, rows: list, ncols: int) -> "RationalMatrix":
-        """Wrap sparse rows that hold nonzero ``Fraction`` values only.
+        """Wrap sparse rows that hold nonzero canonical scalars only.
 
         The rows become the matrix's own storage; callers must not mutate
         them afterwards.
@@ -126,7 +159,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._from_sparse([{i: _ONE} for i in range(n)], n)
+        return cls._from_sparse([{i: 1} for i in range(n)], n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
@@ -178,11 +211,11 @@ class RationalMatrix:
 
     @property
     def rows(self) -> tuple:
-        """Dense rows as tuples of ``Fraction``; built on first use, then cached."""
+        """Dense rows as tuples of canonical scalars; built on first use, then cached."""
         if self._dense is None:
             n = self._ncols
             dense = tuple(
-                tuple(row.get(j, _ZERO) for j in range(n)) if row else (_ZERO,) * n
+                tuple(row.get(j, 0) for j in range(n)) if row else (0,) * n
                 for row in self._rows
             )
             object.__setattr__(self, "_dense", dense)
@@ -201,27 +234,31 @@ class RationalMatrix:
         return (len(self._rows), self._ncols)
 
     def nonzero_entries(self) -> Iterator[tuple]:
-        """``(i, j, value)`` for every nonzero entry, in row-major order."""
+        """``(i, j, value)`` for every nonzero entry, in row-major order; values are canonical."""
         for i, row in enumerate(self._rows):
             for j in sorted(row):
                 yield i, j, row[j]
 
     def row(self, i: int) -> Vector:
+        """Row i as a dense tuple of canonical scalars."""
         row = self._rows[i]
-        return tuple(row.get(j, _ZERO) for j in range(self._ncols))
+        return tuple(row.get(j, 0) for j in range(self._ncols))
 
     def col(self, j: int) -> Vector:
+        """Column j as a dense tuple of canonical scalars."""
         if not 0 <= j < self._ncols:
             raise IndexError(f"column {j} out of range")
-        return tuple(row.get(j, _ZERO) for row in self._rows)
+        return tuple(row.get(j, 0) for row in self._rows)
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> Scalar:
+        """The canonical scalar at (i, j)."""
         if not -self._ncols <= j < self._ncols:
             raise IndexError(f"column {j} out of range")
-        return self._rows[i].get(j % self._ncols, _ZERO)
+        return self._rows[i].get(j % self._ncols, 0)
 
     def columns(self) -> list:
-        cols = [[_ZERO] * len(self._rows) for _ in range(self._ncols)]
+        """All columns as dense tuples of canonical scalars."""
+        cols = [[0] * len(self._rows) for _ in range(self._ncols)]
         for i, row in enumerate(self._rows):
             for j, x in row.items():
                 cols[j][i] = x
@@ -231,7 +268,7 @@ class RationalMatrix:
         return not any(self._rows)
 
     def is_integer(self) -> bool:
-        return all(x._denominator == 1 for row in self._rows for x in row.values())
+        return all(type(x) is int for row in self._rows for x in row.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -265,7 +302,9 @@ class RationalMatrix:
                     acc[j] = b
                 else:
                     y = x + b
-                    if y._numerator:
+                    if type(y) is not int and y._denominator == 1:
+                        y = y._numerator
+                    if y:
                         acc[j] = y
                     else:
                         del acc[j]
@@ -283,7 +322,9 @@ class RationalMatrix:
                     acc[j] = -b
                 else:
                     y = x - b
-                    if y._numerator:
+                    if type(y) is not int and y._denominator == 1:
+                        y = y._numerator
+                    if y:
                         acc[j] = y
                     else:
                         del acc[j]
@@ -296,11 +337,12 @@ class RationalMatrix:
         )
 
     def scale(self, c: Scalar) -> "RationalMatrix":
-        c = Fraction(c)
+        c = canonical(c)
         if not c:
             return RationalMatrix.zeros(*self.shape)
         return RationalMatrix._from_sparse(
-            [{j: c * x for j, x in row.items()} for row in self._rows], self._ncols
+            [_canonical_row({j: c * x for j, x in row.items()}) for row in self._rows],
+            self._ncols,
         )
 
     def __rmul__(self, c: Scalar) -> "RationalMatrix":
@@ -317,16 +359,16 @@ class RationalMatrix:
                 brow = orows[k]
                 if not brow:
                     continue
-                one = _is_one(a)
+                one = a == 1
                 for j, b in brow.items():
                     p = b if one else a * b
                     x = acc.get(j)
                     acc[j] = p if x is None else x + p
-            out.append({j: x for j, x in acc.items() if x._numerator})
+            out.append(_canonical_row(acc))
         return RationalMatrix._from_sparse(out, other._ncols)
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
-        """Matrix times column vector, returned as a tuple."""
+        """Matrix times column vector, returned as a tuple of canonical scalars."""
         if len(v) != self._ncols:
             raise ValueError(f"vector length {len(v)} vs {self._ncols} columns")
         x = _sparse_row(v)
@@ -339,7 +381,11 @@ class RationalMatrix:
                 c = big.get(j)
                 if c is not None:
                     s = a * c if s is None else s + a * c
-            out.append(_ZERO if s is None else s)
+            if s is None:
+                s = 0
+            elif type(s) is not int and s._denominator == 1:
+                s = s._numerator
+            out.append(s)
         return tuple(out)
 
     def transpose(self) -> "RationalMatrix":
@@ -408,7 +454,9 @@ class RationalMatrix:
         for arow in self._rows:
             for brow in other._rows:
                 out.append(
-                    {ja * nb + jb: a * b for ja, a in arow.items() for jb, b in brow.items()}
+                    _canonical_row(
+                        {ja * nb + jb: a * b for ja, a in arow.items() for jb, b in brow.items()}
+                    )
                 )
         return RationalMatrix._from_sparse(out, self._ncols * nb)
 
@@ -460,9 +508,9 @@ class RationalMatrix:
             pos[p], pos[q] = r, pp
             top = rows[p]
             pv = top[c]
-            if not _is_one(pv):
-                inv = _ONE / pv
-                top = rows[p] = {j: x * inv for j, x in top.items()}
+            if pv != 1:
+                inv = _inverse(pv)
+                top = rows[p] = _canonical_row({j: x * inv for j, x in top.items()})
             for i in pivot_rows:
                 f = rows[i].get(c)
                 if f is not None:
@@ -489,7 +537,8 @@ class RationalMatrix:
     def rank(self) -> int:
         return len(self._rref()[1])
 
-    def det(self) -> Fraction:
+    def det(self) -> Scalar:
+        """The determinant, as a canonical scalar."""
         if self.nrows != self._ncols:
             raise ValueError("determinant of a non-square matrix")
         rows = [dict(row) for row in self._rows]
@@ -497,11 +546,11 @@ class RationalMatrix:
         pos = list(order)
         buckets = _leads(rows)
         sign = 1
-        prod = _ONE
+        prod = 1
         for c in range(self._ncols):
             cands = buckets.pop(c, None)
             if not cands:
-                return _ZERO
+                return 0
             p = min(cands, key=pos.__getitem__)
             q, pp = order[c], pos[p]
             if pp != c:
@@ -511,15 +560,15 @@ class RationalMatrix:
             top = rows[p]
             pv = top[c]
             prod *= pv
-            inv = _ONE / pv
+            inv = _inverse(pv)
             for i in cands:
                 if i == p:
                     continue
                 row = rows[i]
-                _sub_multiple(row, row[c] * inv, top)
+                _sub_multiple(row, canonical(row[c] * inv), top)
                 if row:
                     buckets.setdefault(min(row), []).append(i)
-        return sign * prod
+        return canonical(sign * prod)
 
     # -- serialization -----------------------------------------------------
 
@@ -537,8 +586,8 @@ class RationalMatrix:
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise ValueError(f"entry ({i},{j}) outside {nrows}x{ncols}")
             x = Fraction(val)
-            if x._numerator:
-                rows[i][j] = x
+            if x:
+                rows[i][j] = canonical(x)
             else:
                 rows[i].pop(j, None)
         return cls._from_sparse(rows, ncols)
@@ -550,7 +599,7 @@ def rank_kernel_image(M: RationalMatrix) -> tuple:
     The kernel basis vectors are the standard free-variable vectors of the
     reduced echelon form, ordered by free column; the image basis is the
     list of original matrix columns at the pivot positions.  Both are
-    deterministic functions of the matrix.
+    deterministic functions of the matrix, and hold canonical scalars.
     """
     rref_rows, pivots = M._rref()
     n = M.ncols
@@ -558,8 +607,8 @@ def rank_kernel_image(M: RationalMatrix) -> tuple:
     kernel = {}
     for f in range(n):
         if f not in pivot_set:
-            v = [_ZERO] * n
-            v[f] = _ONE
+            v = [0] * n
+            v[f] = 1
             kernel[f] = v
     for row, pc in zip(rref_rows, pivots):
         for f, x in row.items():
@@ -573,7 +622,8 @@ def solve_matrix(A: RationalMatrix, B: RationalMatrix) -> Optional[RationalMatri
     """Solve ``A @ X = B`` exactly; None when inconsistent.
 
     Free variables are set to zero, so the particular solution is the
-    deterministic one picked by the fixed pivot rule.
+    deterministic one picked by the fixed pivot rule.  The solution holds
+    canonical scalars.
     """
     if A.nrows != B.nrows:
         raise ValueError(f"row mismatch {A.shape} vs {B.shape}")
@@ -601,9 +651,10 @@ class SpanTracker:
     """Incremental membership test for a growing rational span.
 
     Rows are kept in echelon form, each normalized at its pivot (its first
-    nonzero column).  ``add`` returns True when the vector enlarged the span;
-    ``contains`` tests membership without modification.  Insertion order is
-    the caller's, which keeps greedy basis selection deterministic.
+    nonzero column), with canonical entries.  ``add`` returns True when the
+    vector enlarged the span; ``contains`` tests membership without
+    modification.  Insertion order is the caller's, which keeps greedy basis
+    selection deterministic.
     """
 
     def __init__(self, dim: int):
@@ -628,12 +679,17 @@ class SpanTracker:
             for j, b in row.items():
                 x = w.get(j)
                 if x is None:
-                    w[j] = -f * b
+                    y = -f * b
+                    if type(y) is not int and y._denominator == 1:
+                        y = y._numerator
+                    w[j] = y
                     if j in piv:
                         heappush(heap, j)
                 else:
                     y = x - f * b
-                    if y._numerator:
+                    if type(y) is not int and y._denominator == 1:
+                        y = y._numerator
+                    if y:
                         w[j] = y
                     else:
                         del w[j]
@@ -648,9 +704,9 @@ class SpanTracker:
             return False
         pc = min(w)
         pv = w[pc]
-        if not _is_one(pv):
-            inv = _ONE / pv
-            w = {j: x * inv for j, x in w.items()}
+        if pv != 1:
+            inv = _inverse(pv)
+            w = _canonical_row({j: x * inv for j, x in w.items()})
         self._rows[pc] = w
         return True
 
@@ -683,7 +739,7 @@ def extend_to_basis(
 def vec(M: RationalMatrix) -> Vector:
     """Row-major flattening."""
     n = M.ncols
-    out = [_ZERO] * (M.nrows * n)
+    out = [0] * (M.nrows * n)
     for i, row in enumerate(M._rows):
         for j, x in row.items():
             out[i * n + j] = x

@@ -159,7 +159,7 @@ def act_vertex(g: Union[GroupElement, RationalMatrix], v: TreeVertex) -> TreeVer
     row1 = [c * scale, d * scale]
     j = 1 if (row1[1] and p_valuation(row1[1], p) == 0) else 0
     jj = 1 - j
-    u0 = row0[j] / row1[j]
+    u0 = Fraction(row0[j], row1[j])
     x = row0[jj] - row1[jj] * u0
     m = int(p_valuation(x, p))
     return TreeVertex.of(p, m, u0)
@@ -576,7 +576,7 @@ class PushoutComplex:
             )
 
         dim0, dim1 = len(vertex_labels), len(edge_labels)
-        grid = [[Fraction(0)] * dim1 for _ in range(dim0)]
+        grid = [[0] * dim1 for _ in range(dim0)]
         for col, (ti, hi) in enumerate(endpoints):
             grid[hi][col] += 1
             grid[ti][col] -= 1
@@ -618,13 +618,13 @@ def _coface_matrix(
     src = small.cells(q)
     tgt_index = big._vindex if q == 0 else big._eindex
     rows = len(big.cells(q))
-    grid = [[Fraction(0)] * len(src) for _ in range(rows)]
+    grid = [[0] * len(src) for _ in range(rows)]
     for col, (copy, idx) in enumerate(src):
         if copy == "z":
             lab: Label = ("z", idx)
         else:
             lab = (copy if copy < skip else copy + 1, idx)
-        grid[tgt_index[lab]][col] = Fraction(1)
+        grid[tgt_index[lab]][col] = 1
     return RationalMatrix(grid, ncols=len(src))
 
 
@@ -632,9 +632,9 @@ def _collapse_matrix(po: PushoutComplex, q: int) -> RationalMatrix:
     """Fold all copies back onto the ambient subtree, on q-cells."""
     src = po.cells(q)
     rows = po.ambient.vertex_count if q == 0 else po.ambient.edge_count
-    grid = [[Fraction(0)] * len(src) for _ in range(rows)]
+    grid = [[0] * len(src) for _ in range(rows)]
     for col, (_, idx) in enumerate(src):
-        grid[idx][col] = Fraction(1)
+        grid[idx][col] = 1
     return RationalMatrix(grid, ncols=len(src))
 
 

@@ -205,6 +205,22 @@ class TestWallDemo:
         # the built assembly and its truncation, each checked by its construction
         assert len(calls) == 2
 
+    def test_each_total_complex_is_built_once(self, capsys, monkeypatch):
+        from wallforge import wall
+
+        calls = []
+        original = wall.total_complex
+
+        def counted(W):
+            calls.append(W)
+            return original(W)
+
+        monkeypatch.setattr(wall, "total_complex", counted)
+        dump = _run_json(capsys, ["wall-demo", "--group", "Z2", "--degrees", "3"])
+        assert dump["truncated"]["certificates"]["betti_match"] is True
+        # the built assembly's, and the truncation's inside the quasi-isomorphism check
+        assert len(calls) == 2
+
     def test_trivial_group_rejected(self, capsys):
         code, _, _ = _run(capsys, ["wall-demo", "--group", "Z1", "--degrees", "2"])
         assert code == 1

@@ -285,6 +285,35 @@ class TestCrossedProduct:
         Q, A, cp = self._sign_setup()
         assert cp.cocycle.violations() == []
 
+    def test_violations_invert_each_cocycle_value_once(self, monkeypatch):
+        Q, A, cp = self._sign_setup()
+        calls = []
+        original = AlgebraPresentation.inverse
+
+        def counted(self, u):
+            calls.append(u)
+            return original(self, u)
+
+        monkeypatch.setattr(AlgebraPresentation, "inverse", counted)
+        assert cp.cocycle.violations() == []
+        assert len(calls) == Q.order**2
+
+    @pytest.mark.parametrize(
+        "t11, expected",
+        [
+            ((0, 1), ["t(1,1) is not invertible"]),
+            ((0, 0), ["t(1,1) is not invertible"]),
+            ((1, 1), ["cocycle identity fails at (1,1,1)"]),
+            ((2, 0), []),
+        ],
+    )
+    def test_cocycle_value_messages(self, t11, expected):
+        Q, A, cp = self._sign_setup()
+        values = {(a, b): (1, 0) for a in range(2) for b in range(2)}
+        values[(1, 1)] = t11
+        table = CocycleTable(group=Q, algebra=A, action=cp.cocycle.action, values=values)
+        assert table.violations() == expected
+
     def test_compare_trivial_module(self):
         Q, A, cp = self._sign_setup()
         triv = crossed_module(
