@@ -9,10 +9,21 @@ it re-checks the stored certificates directly from the raw matrices
 (boundary squares, connecting-map identities, homology dimensions), then
 it reproduces the whole dump from the recorded inputs and compares.
 
-Only ``arith``, ``linalg`` and ``complexes``, which every job uses, are
-imported here.  Each job imports the algebra modules it runs (``tree``,
-``lie``, ``bch``, ``groupalg``, ``wall``) inside its own function, so a
-process pays start-up only for the subcommand it runs.
+This module parses arguments, resolves inputs, renders and loads dumps and
+drives ``verify-replay``.  It imports no algebra module: the handlers and
+rechecks live in one job module per family (``cli_tree``, ``cli_lie``,
+``cli_groupalg``), imported the first time a job or a dump needs it, and
+each job module imports only the algebra modules its subcommands run.  So a
+process compiles and loads only what its subcommand uses, and ``--help``, a
+usage error or a malformed dump loads no algebra at all.  No module imports
+this one by name: under ``python -m wallforge.cli`` it runs as
+``__main__``, and a second import would load a second copy.
+
+``bench/tracer.py`` wraps ``_render`` and ``_load_json`` here by name, and
+wraps the algebra functions before this module runs a job.  So those two
+stay in this module and are called through its globals, and the job modules
+are imported only when a job needs them, after any such wrapping, which
+their ``from ... import`` lines then pick up.
 
 Exit codes: 0 success, 1 invalid input, 2 a failed mathematical
 certificate, 3 internal error.
@@ -22,58 +33,75 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import combinations
-from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
-from wallforge.arith import PExponent, bch_constants, p_valuation, radius_params
-from wallforge.complexes import CertificateError, ChainComplex, homology_dims
-from wallforge.linalg import RationalMatrix, rank_kernel_image, solve_matrix
-
-if TYPE_CHECKING:
-    from wallforge.bch import GaussPolynomial
-    from wallforge.groupalg import AlgebraPresentation, FiniteGroupTable, ModulePresentation
-
-SCHEMA = "wallforge/1"
+from wallforge.cli_common import SCHEMA, _check_prime, _InputError, _RecordedInputs
 
 
 class _UsageError(ValueError):
     """Raised in place of argparse's SystemExit so main can return 1."""
 
 
-class _InputError(ValueError):
-    """Job inputs that are missing, mistyped or out of the job's range."""
-
-
-class _RecordedInputs(dict):
-    """A dump's recorded inputs, where a missing field is an input error."""
-
-    def __missing__(self, key):
-        raise _InputError(f"missing field {key!r}")
-
-
-@dataclass(frozen=True)
 class JobSpec:
     """One resolved invocation: which pipeline, which files, which knobs."""
 
-    subcommand: str
-    input_paths: Tuple[str, ...] = ()
-    output_path: Optional[str] = None
-    options: Dict[str, object] = field(default_factory=dict)
+    def __init__(
+        self,
+        subcommand: str,
+        input_paths: tuple[str, ...] = (),
+        output_path: str | None = None,
+        options: dict[str, object] | None = None,
+    ):
+        self.subcommand = subcommand
+        self.input_paths = input_paths
+        self.output_path = output_path
+        self.options = {} if options is None else options
+
+
+# subcommand -> the job module holding its handler, its replay recheck and
+# the helpers that build its default inputs
+_FAMILIES = {
+    "tree-ss": "wallforge.cli_tree",
+    "pushout-check": "wallforge.cli_tree",
+    "cosimplicial-check": "wallforge.cli_tree",
+    "ce-homology": "wallforge.cli_lie",
+    "bch-verify": "wallforge.cli_lie",
+    "group-law": "wallforge.cli_lie",
+    "norms": "wallforge.cli_lie",
+    "radius": "wallforge.cli_lie",
+    "wall-demo": "wallforge.cli_groupalg",
+    "wall-build": "wallforge.cli_groupalg",
+    "ext-crossed": "wallforge.cli_groupalg",
+}
+
+
+def _family(subcommand: str):
+    """The job module of a subcommand, imported on first use."""
+    # __import__ rather than importlib.import_module, whose imports
+    # ``python -X importtime`` does not report
+    name = _FAMILIES[subcommand]
+    __import__(name)
+    return sys.modules[name]
+
+
+def _is_certificate_failure(exc: BaseException) -> bool:
+    # CertificateError lives in wallforge.complexes; if that module was never
+    # loaded, nothing can have raised one
+    complexes = sys.modules.get("wallforge.complexes")
+    return complexes is not None and isinstance(exc, complexes.CertificateError)
 
 
 # ---------------------------------------------------------------------------
-# small input plumbing
+# dump files
 # ---------------------------------------------------------------------------
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> tuple[dict, str]:
+    """The JSON object in a file, and the text it was parsed from."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
@@ -82,781 +110,20 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
-    return data
-
-
-def _parsed(builder, data, what: str):
-    """Run a from_json style builder, folding shape errors into ValueError."""
-    try:
-        return builder(data)
-    except (KeyError, TypeError, IndexError, ValueError, ZeroDivisionError) as exc:
-        raise _InputError(f"malformed {what}: {exc!r}") from exc
-
-
-def _as_int(value, what: str, minimum: Optional[int] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _InputError(f"{what} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise _InputError(f"{what} must be at least {minimum}, got {value}")
-    return value
-
-
-def _as_bool(value, what: str) -> bool:
-    if type(value) is not bool:
-        raise _InputError(f"{what} must be true or false, got {value!r}")
-    return value
-
-
-def _as_fraction(value, what: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise _InputError(f"{what} must be an integer or a fraction string, got {value!r}")
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _InputError(f"{what} is not a rational number: {value!r}") from exc
-
-
-def _check_prime(p: int) -> int:
-    _as_int(p, "p", minimum=2)
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise _InputError(f"p must be prime, got {p}")
-        d += 1
-    return p
-
-
-def _matrix_from_json(data) -> RationalMatrix:
-    return _parsed(RationalMatrix.from_json, data, "matrix")
-
-
-def _module_from_json(A: AlgebraPresentation, data) -> ModulePresentation:
-    from wallforge.groupalg import ModulePresentation
-
-    def build(doc):
-        actions = [RationalMatrix.from_json(m) for m in doc["actions"]]
-        return ModulePresentation(A, actions)
-
-    return _parsed(build, data, "module presentation")
+    return data, text
 
 
 def _render(dump: dict) -> str:
     return json.dumps(dump, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(dump: dict, out: Optional[str]) -> None:
+def _emit(dump: dict, out: str | None) -> None:
     text = _render(dump)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _dim_list(dims: Dict[int, int], hi: int) -> List[int]:
-    return [dims.get(n, 0) for n in range(hi + 1)]
-
-
-def _min_valuation(m: RationalMatrix, p: int) -> Optional[int]:
-    """Least entry valuation, or None for the zero matrix."""
-    best: Optional[int] = None
-    for _, _, x in m.nonzero_entries():
-        v = int(p_valuation(x, p))
-        if best is None or v < best:
-            best = v
-    return best
-
-
-def _group_by_name(name) -> FiniteGroupTable:
-    from wallforge.groupalg import FiniteGroupTable
-
-    label = str(name)
-    if label == "S3":
-        return FiniteGroupTable.symmetric3()
-    if label == "D4":
-        return FiniteGroupTable.dihedral(4)
-    if label == "Q8":
-        return FiniteGroupTable.quaternion8()
-    if label.startswith("Z") and label[1:].isdigit():
-        n = int(label[1:])
-        if n >= 1:
-            return FiniteGroupTable.cyclic(n)
-    raise _InputError(f"unknown group {label!r}; use Z<n>, S3, D4, or Q8")
-
-
-def _augmentation_ideal(
-    A: AlgebraPresentation,
-) -> Tuple[ModulePresentation, RationalMatrix]:
-    """The kernel of the canonical augmentation, with its inclusion matrix."""
-    from wallforge.groupalg import ModulePresentation
-
-    values = A.augmentation_values()
-    if values is None:
-        raise ValueError("the algebra exposes no canonical augmentation")
-    functional = RationalMatrix([list(values)], ncols=A.dim)
-    _, kernel, _ = rank_kernel_image(functional)
-    incl = RationalMatrix.from_columns(kernel, nrows=A.dim)
-    actions = []
-    for i in range(A.dim):
-        L = A.left_mult_matrix(A.basis_vector(i))
-        restricted = solve_matrix(incl, L @ incl)
-        if restricted is None:
-            raise ValueError("augmentation kernel is not closed under the action")
-        actions.append(restricted)
-    return ModulePresentation(A, actions), incl
-
-
-# ---------------------------------------------------------------------------
-# job handlers; each takes a JSON-plain inputs dict and returns the full dump
-# ---------------------------------------------------------------------------
-
-
-def _job_ce_homology(inputs: dict) -> dict:
-    from wallforge.lie import LieAlgebra, LieDataError, LieModule, ce_complex
-
-    g = _parsed(LieAlgebra.from_json, inputs["lie"], "Lie algebra")
-    mod_doc = inputs.get("module")
-    if mod_doc is None:
-        M = LieModule.trivial(g)
-    else:
-        M = _parsed(
-            lambda doc: LieModule(
-                g, [RationalMatrix.from_json(a) for a in doc["actions"]]
-            ),
-            mod_doc,
-            "Lie module",
-        )
-    try:
-        C = ce_complex(g, M)  # validates the structure constants and the action
-    except LieDataError as exc:
-        v = exc.violations
-        if v.antisymmetry or v.jacobi:
-            raise _InputError(
-                "structure constants rejected: "
-                f"antisymmetry {list(v.antisymmetry)}, jacobi {list(v.jacobi)}"
-            ) from None
-        raise _InputError(f"module action rejected: {list(v.module)}") from None
-    C.require_valid()
-    return {
-        "schema": SCHEMA,
-        "kind": "ce-homology",
-        "inputs": inputs,
-        "complex": C.to_json(),
-        "betti": _dim_list(homology_dims(C), g.dim),
-        "certificates": {"d_squared": "zero"},
-    }
-
-
-def _wall_dump_sections(wall, truncate: Optional[int]) -> dict:
-    """Certificates shared by the wall subcommands.
-
-    ``wall`` comes from ``build_wall``, which verifies the connecting-map
-    identities of every assembly it returns; the total complex checks its
-    boundary square.  When a truncation bound is given the columns are cut
-    to complete resolutions first, which is what makes the total-versus-base
-    homology comparison a theorem rather than an accident of column length.
-    """
-    from wallforge.wall import (
-        augmentation_quasi_iso,
-        base_complex,
-        total_complex,
-        truncated_wall,
-    )
-
-    total = total_complex(wall)
-    base = base_complex(wall)
-    out = {
-        "assembly": wall.to_json(),
-        "certificates": {
-            "induction_identities": "verified",
-            "delta_squared": "zero",
-            "total_homology": _dim_list(homology_dims(total), total.hi),
-            "base_homology": _dim_list(homology_dims(base), base.hi),
-        },
-    }
-    if truncate is None:
-        out["truncated"] = None
-        return out
-    trunc = truncated_wall(wall, truncate)
-    eps, cert = augmentation_quasi_iso(trunc)
-    hi = eps.source.hi
-    betti_total = _dim_list(cert.total_homology, hi)
-    betti_base = _dim_list(cert.base_homology, hi)
-    if not cert.betti_match or betti_total != betti_base:
-        raise CertificateError(
-            f"total Betti numbers {betti_total} disagree with the base {betti_base}"
-        )
-    out["truncated"] = {
-        "d_bound": truncate,
-        "assembly": trunc.to_json(),
-        "certificates": {
-            "delta_squared": "zero",
-            "betti_total": betti_total,
-            "betti_base": betti_base,
-            "betti_match": True,
-        },
-    }
-    return out
-
-
-def _job_wall_demo(inputs: dict) -> dict:
-    from wallforge.groupalg import AlgebraPresentation, ModulePresentation, free_resolution
-    from wallforge.wall import build_wall
-
-    degrees = _as_int(inputs["degrees"], "degrees", minimum=1)
-    Q = _group_by_name(inputs["group"])
-    if Q.order < 2:
-        raise _InputError("the demo needs a nontrivial group")
-    A = AlgebraPresentation.group_algebra(Q)
-    ideal, incl = _augmentation_ideal(A)
-    columns = [
-        free_resolution(A, ModulePresentation.regular(A), degrees),
-        free_resolution(A, ideal, degrees),
-    ]
-    wall = build_wall(columns, [incl])
-    body = _wall_dump_sections(wall, degrees - 1)
-    return {
-        "schema": SCHEMA,
-        "kind": "wall-demo",
-        "inputs": inputs,
-        "group_order": Q.order,
-        **body,
-    }
-
-
-def _job_wall_build(inputs: dict) -> dict:
-    from wallforge.groupalg import AlgebraPresentation, free_resolution
-    from wallforge.wall import build_wall
-
-    job = inputs["job"]
-    if not isinstance(job, dict):
-        raise _InputError("the job description must be a JSON object")
-    if job.get("schema", SCHEMA) != SCHEMA:
-        raise _InputError(f"unsupported schema tag {job.get('schema')!r}")
-    A = _parsed(AlgebraPresentation.from_json, job.get("algebra"), "algebra")
-    module_docs = job.get("modules")
-    if not isinstance(module_docs, list) or not module_docs:
-        raise _InputError("the job needs a nonempty list of modules")
-    modules = [_module_from_json(A, doc) for doc in module_docs]
-    map_docs = job.get("maps", [])
-    if not isinstance(map_docs, list):
-        raise _InputError("the job's maps must be a list")
-    maps = [_matrix_from_json(doc) for doc in map_docs]
-    if len(maps) != len(modules) - 1:
-        raise _InputError(
-            f"{len(modules)} modules need {len(modules) - 1} maps, got {len(maps)}"
-        )
-    lengths = job.get("lengths")
-    if not isinstance(lengths, list) or len(lengths) != len(modules):
-        raise _InputError("the job needs one column length per module")
-    order = job.get("order", "forward")
-    if order not in ("forward", "reversed"):
-        raise _InputError(f"order must be 'forward' or 'reversed', got {order!r}")
-    resolutions = [
-        free_resolution(A, M, _as_int(L, "column length", minimum=0), order=order)
-        for M, L in zip(modules, lengths)
-    ]
-    wall = build_wall(resolutions, maps, order=order)
-    truncate = job.get("truncate")
-    if truncate is not None:
-        truncate = _as_int(truncate, "truncate", minimum=0)
-    body = _wall_dump_sections(wall, truncate)
-    return {"schema": SCHEMA, "kind": "wall-build", "inputs": inputs, **body}
-
-
-def _job_tree_ss(inputs: dict) -> dict:
-    from wallforge.tree import FiniteSubtree, TreeCoefficientSystem, ss_chain_complex
-
-    p = _check_prime(inputs["p"])
-    radius = _as_int(inputs["radius"], "radius", minimum=0)
-    fiber = _as_int(inputs["fiber_dim"], "fiber dimension", minimum=1)
-    ball = FiniteSubtree.ball(p, radius)
-    expected = 1 + (p + 1) * (p**radius - 1) // (p - 1)
-    if ball.vertex_count != expected:
-        raise CertificateError(
-            f"ball of radius {radius} has {ball.vertex_count} vertices, "
-            f"the count formula gives {expected}"
-        )
-    cs = TreeCoefficientSystem.constant(ball, dim=fiber, augmented=True)
-    C, aug = ss_chain_complex(cs)
-    dims = homology_dims(C)
-    h0, h1 = dims.get(0, 0), dims.get(1, 0)
-    if (h0, h1) != (fiber, 0):
-        raise CertificateError(
-            f"constant system on the ball has homology ({h0}, {h1}), "
-            f"expected ({fiber}, 0)"
-        )
-    return {
-        "schema": SCHEMA,
-        "kind": "tree-ss",
-        "inputs": inputs,
-        "ball": ball.to_json(),
-        "complex": C.to_json(),
-        "augmentation": aug.component(0).to_json(),
-        "certificates": {
-            "vertex_count": ball.vertex_count,
-            "edge_count": ball.edge_count,
-            "count_formula": "matches",
-            "homology": [h0, h1],
-            "augmentation_square": "zero",
-        },
-    }
-
-
-def _job_pushout_check(inputs: dict) -> dict:
-    from wallforge.tree import FiniteSubtree, TreeVertex, is_convex, pushout_complex
-
-    p = _check_prime(inputs["p"])
-    radius = _as_int(inputs["radius"], "radius", minimum=0)
-    copies = _as_int(inputs["copies"], "copies", minimum=1)
-    convex = _as_bool(inputs["convex"], "convex")
-    ambient = FiniteSubtree.ball(p, radius)
-    if convex:
-        shared_radius = _as_int(inputs["shared_radius"], "shared radius", minimum=0)
-        if shared_radius > radius:
-            raise _InputError("the shared ball must sit inside the ambient ball")
-        shared = FiniteSubtree.ball(p, shared_radius)
-    else:
-        if radius < 1:
-            raise _InputError("the non-convex control needs radius at least 1")
-        nb = TreeVertex.base(p).neighbors()
-        shared = FiniteSubtree.from_vertices(p, [nb[0], nb[1]])
-    po = pushout_complex(ambient, shared, copies)
-    dims = homology_dims(po.complex)
-    h0, h1 = dims.get(0, 0), dims.get(1, 0)
-    if convex:
-        if not is_convex(shared):
-            raise CertificateError("shared ball failed its own convexity check")
-        if (h0 - 1, h1) != (0, 0):
-            raise CertificateError(
-                f"pushout along a convex piece has reduced homology ({h0 - 1}, {h1})"
-            )
-        verdict = "contractible"
-    else:
-        if is_convex(shared):
-            raise CertificateError("control subtree is unexpectedly convex")
-        if h1 < 1:
-            raise CertificateError("non-convex control produced no cycle")
-        verdict = "cycle-detected"
-    return {
-        "schema": SCHEMA,
-        "kind": "pushout-check",
-        "inputs": inputs,
-        "complex": po.complex.to_json(),
-        "cells": {"vertices": len(po.vertex_labels), "edges": len(po.edge_labels)},
-        "certificates": {
-            "convex": convex,
-            "homology": [h0, h1],
-            "reduced_homology": [h0 - 1, h1],
-            "verdict": verdict,
-        },
-    }
-
-
-def _job_cosimplicial_check(inputs: dict) -> dict:
-    from wallforge.tree import FiniteSubtree, cosimplicial_row_check
-
-    p = _check_prime(inputs["p"])
-    radius = _as_int(inputs["radius"], "radius", minimum=0)
-    shared_radius = _as_int(inputs["shared_radius"], "shared radius", minimum=0)
-    q = _as_int(inputs["q"], "q")
-    j_max = _as_int(inputs["j_max"], "j_max", minimum=0)
-    if shared_radius > radius:
-        raise _InputError("the shared ball must sit inside the ambient ball")
-    ambient = FiniteSubtree.ball(p, radius)
-    shared = FiniteSubtree.ball(p, shared_radius)
-    report = cosimplicial_row_check(ambient, shared, q, j_max)
-    if not report.ok:
-        raise CertificateError(
-            f"cosimplicial row fails: cohomology {list(report.cohomology)}, "
-            f"alternation_ok {report.alternation_ok}"
-        )
-    return {
-        "schema": SCHEMA,
-        "kind": "cosimplicial-check",
-        "inputs": inputs,
-        "report": report.to_json(),
-        "certificates": {
-            "cohomology": list(report.cohomology),
-            "degree_zero": report.expected_degree_zero,
-            "alternation": "verified",
-        },
-    }
-
-
-def _builtin_bch_pairs(p: int, size: int) -> List[dict]:
-    """Two stock pairs of strictly upper triangular matrices in p^kappa Z."""
-    _check_prime(p)
-    _as_int(size, "size", minimum=2)
-    kappa = bch_constants(1, p).kappa
-    scale = Fraction(p) ** kappa
-
-    def mat(entries: Dict[Tuple[int, int], int]) -> dict:
-        grid = [[Fraction(0)] * size for _ in range(size)]
-        for (i, j), v in entries.items():
-            if j < size:
-                grid[i][j] = scale * v
-        return RationalMatrix(grid, ncols=size).to_json()
-
-    shift = {(i, i + 1): 1 for i in range(size - 1)}
-    mixed = {(i, i + 1): (1 if i % 2 == 0 else -1) for i in range(size - 1)}
-    mixed[(0, 2)] = 1
-    weighted = {(i, i + 1): i + 1 for i in range(size - 1)}
-    sparse = {(0, 1): 1, (1, 2): -2}
-    if size > 3:
-        sparse[(0, 3)] = 1
-    return [
-        {"name": "superdiagonal", "x": mat(shift), "y": mat(mixed)},
-        {"name": "weighted", "x": mat(weighted), "y": mat(sparse)},
-    ]
-
-
-def _job_bch_verify(inputs: dict) -> dict:
-    from wallforge.bch import bch_evaluate_nilpotent
-
-    p = _check_prime(inputs["p"])
-    n_max = _as_int(inputs["n_max"], "n_max", minimum=1)
-    pairs = inputs["pairs"]
-    if not isinstance(pairs, list) or not pairs:
-        raise _InputError("need a nonempty list of matrix pairs")
-    kappa = bch_constants(1, p).kappa
-    results = []
-    for pos, pair in enumerate(pairs):
-        name = str(pair.get("name", f"pair{pos}")) if isinstance(pair, dict) else ""
-        if not isinstance(pair, dict) or "x" not in pair or "y" not in pair:
-            raise _InputError(f"pair {pos} must carry matrices 'x' and 'y'")
-        x = _matrix_from_json(pair["x"])
-        y = _matrix_from_json(pair["y"])
-        for label, m in (("x", x), ("y", y)):
-            mv = _min_valuation(m, p)
-            if mv is not None and mv < kappa:
-                raise _InputError(
-                    f"{name}.{label} has an entry of valuation {mv}; "
-                    f"the powerful condition needs at least {kappa}"
-                )
-        components = bch_evaluate_nilpotent(x, y, n_max)
-        rows = []
-        for n in range(1, n_max + 1):
-            bound = bch_constants(n, p).bound_exponent
-            mv = _min_valuation(components[n - 1], p)
-            if mv is not None and Fraction(mv) < bound:
-                raise CertificateError(
-                    f"{name}: component {n} has valuation {mv}, bound {bound}"
-                )
-            rows.append(
-                {
-                    "n": n,
-                    "term": components[n - 1].to_json(),
-                    "min_valuation": mv,
-                    "bound": str(bound),
-                }
-            )
-        results.append({"name": name, "components": rows})
-    return {
-        "schema": SCHEMA,
-        "kind": "bch-verify",
-        "inputs": inputs,
-        "kappa": kappa,
-        "results": results,
-        "certificates": {"valuation_bounds": "hold", "pair_count": len(results)},
-    }
-
-
-def _powerful_heisenberg_json(p: int) -> dict:
-    from wallforge.lie import LieAlgebra
-
-    kappa = bch_constants(1, p).kappa
-    g = LieAlgebra(3, {(0, 1): [0, 0, Fraction(p) ** kappa]})
-    return g.to_json()
-
-
-def _job_group_law(inputs: dict) -> dict:
-    from wallforge.bch import group_law_polynomials
-    from wallforge.lie import LieAlgebra
-
-    p = _check_prime(inputs["p"])
-    N = _as_int(inputs["N"], "N", minimum=1)
-    g = _parsed(LieAlgebra.from_json, inputs["lie"], "Lie algebra")
-    report = group_law_polynomials(g, p, N)
-    if not report.valuation_ok:
-        raise CertificateError("a law coefficient falls under the valuation bound")
-    if not report.associativity_ok:
-        raise CertificateError(f"the law is not associative modulo degree {N + 1}")
-    return {
-        "schema": SCHEMA,
-        "kind": "group-law",
-        "inputs": inputs,
-        "report": report.to_json(),
-        "certificates": {"valuations": "bounded", "associativity": "holds"},
-    }
-
-
-def _random_poly(rng: random.Random, nvars: int, degree: int, p: int) -> GaussPolynomial:
-    from wallforge.bch import GaussPolynomial
-
-    terms: Dict[Tuple[int, ...], Fraction] = {}
-    for _ in range(rng.randint(2, 5)):
-        mono = tuple(rng.randint(0, degree) for _ in range(nvars))
-        num = rng.randint(-(p**3), p**3) or 1
-        den = rng.randint(1, p**2)
-        terms[mono] = Fraction(num, den)
-    return GaussPolynomial(nvars, terms)
-
-
-def _random_padic_integer(rng: random.Random, p: int) -> Fraction:
-    den = rng.randint(1, p**2)
-    while den % p == 0:
-        den = rng.randint(1, p**2)
-    return Fraction(rng.randint(-(p**3), p**3), den)
-
-
-def _job_norms(inputs: dict) -> dict:
-    """Seeded random checks: norm multiplicativity and expansion bounds.
-
-    The seed is part of the inputs, so a replay redraws exactly the same
-    polynomials and exponent vectors.
-    """
-    from wallforge.bch import dr_norm_and_expansion, gauss_norm
-
-    p = _check_prime(inputs["p"])
-    seed = _as_int(inputs["seed"], "seed")
-    n_pairs = _as_int(inputs["pairs"], "pairs", minimum=1)
-    nu_count = _as_int(inputs["nu_count"], "nu_count", minimum=0)
-    nvars = _as_int(inputs["nvars"], "nvars", minimum=1)
-    degree = _as_int(inputs["degree"], "degree", minimum=1)
-    expansion_degree = _as_int(inputs["expansion_degree"], "expansion degree", minimum=1)
-    exponent = _as_fraction(inputs["radius"], "radius exponent")
-    if exponent >= 0:
-        raise _InputError("the radius exponent must be negative (a radius below 1)")
-    rho = PExponent.of(p, exponent)
-    rng = random.Random(seed)
-    pair_rows = []
-    for i in range(n_pairs):
-        f = _random_poly(rng, nvars, degree, p)
-        g = _random_poly(rng, nvars, degree, p)
-        nf = gauss_norm(f, rho, p)
-        ng = gauss_norm(g, rho, p)
-        nfg = gauss_norm(f * g, rho, p)
-        if nfg != nf * ng:
-            raise CertificateError(f"Gauss norm failed to multiply on pair {i}")
-        pair_rows.append(
-            {
-                "f": f.to_json(),
-                "g": g.to_json(),
-                "norm_f": nf.to_json(),
-                "norm_g": ng.to_json(),
-                "norm_product": nfg.to_json(),
-            }
-        )
-    nu_rows = []
-    for _ in range(nu_count):
-        nu = [_random_padic_integer(rng, p) for _ in range(rng.randint(1, 3))]
-        rep = dr_norm_and_expansion(nu, rho, p, expansion_degree)
-        nu_rows.append(
-            {
-                "nu": [str(x) for x in nu],
-                "norm": rep.norm.to_json(),
-                "bound": rep.bound.to_json(),
-                "within_bound": rep.within_bound,
-            }
-        )
-    return {
-        "schema": SCHEMA,
-        "kind": "norms",
-        "inputs": inputs,
-        "pairs": pair_rows,
-        "expansions": nu_rows,
-        "certificates": {
-            "multiplicativity": "exact",
-            "expansion_bound": "holds",
-            "pair_count": n_pairs,
-            "expansion_count": nu_count,
-        },
-    }
-
-
-def _job_radius(inputs: dict) -> dict:
-    p = _check_prime(inputs["p"])
-    e = _as_int(inputs["e"], "e", minimum=1)
-    q_res = _as_int(inputs["q"], "q", minimum=2)
-    exponent = _as_fraction(inputs["r"], "radius exponent")
-    params = radius_params(PExponent.of(p, exponent), p, e, q_res)
-    return {
-        "schema": SCHEMA,
-        "kind": "radius",
-        "inputs": inputs,
-        "h": params.h,
-        "ell": params.ell,
-        "in_sR": params.in_sR,
-        "m": params.m_witness,
-        "detail": params.to_json(),
-        "certificates": {
-            "h": params.h,
-            "ell": params.ell,
-            "in_sR": params.in_sR,
-            "m": params.m_witness,
-        },
-    }
-
-
-# configured crossed-product comparisons: generator-space matrices for the
-# group action on each exterior algebra, keyed by (group name, rank)
-_EXT_ACTIONS: Dict[Tuple[str, int], Dict[str, List[List[int]]]] = {
-    ("Z2", 1): {"g": [[-1]]},
-    ("Z4", 1): {"g": [[-1]]},
-    ("Z6", 1): {"g": [[-1]]},
-    ("S3", 1): {"s": [[-1]], "r": [[1]]},
-    ("Z2", 2): {"g": [[0, 1], [1, 0]]},
-    ("Z3", 2): {"g": [[0, -1], [1, -1]]},
-    ("Z4", 2): {"g": [[0, -1], [1, 0]]},
-    ("Z6", 2): {"g": [[1, -1], [1, 0]]},
-    ("S3", 2): {"s": [[0, 1], [1, 0]], "r": [[0, -1], [1, -1]]},
-}
-
-
-def _element_of_order(Q: FiniteGroupTable, k: int) -> int:
-    for g in range(Q.order):
-        order, h = 1, g
-        while h != Q.identity:
-            h = Q.mul(h, g)
-            order += 1
-        if order == k:
-            return g
-    raise ValueError(f"no element of order {k}")
-
-
-def _ext_group_action(
-    group: str, rank: int
-) -> Tuple[FiniteGroupTable, List[RationalMatrix]]:
-    key = (str(group), rank)
-    if key not in _EXT_ACTIONS:
-        known = sorted(f"{g}/rank{r}" for g, r in _EXT_ACTIONS)
-        raise _InputError(f"no configured action for {key}; known: {', '.join(known)}")
-    Q = _group_by_name(group)
-    spec = _EXT_ACTIONS[key]
-    generators: Dict[int, RationalMatrix] = {}
-    for label, grid in spec.items():
-        mat = RationalMatrix(grid, ncols=rank)
-        if label == "g":
-            generators[_element_of_order(Q, Q.order)] = mat
-        elif label == "s":
-            generators[_element_of_order(Q, 2)] = mat
-        elif label == "r":
-            generators[_element_of_order(Q, 3)] = mat
-    return Q, Q.representation_from_generators(generators)
-
-
-def _exterior_extension(rank: int, m: RationalMatrix) -> RationalMatrix:
-    """Extend a substitution of the generators to the subset basis by minors."""
-    subsets = sorted(
-        [s for r in range(rank + 1) for s in combinations(range(rank), r)],
-        key=lambda s: (len(s), s),
-    )
-    grid = [[Fraction(0)] * len(subsets) for _ in subsets]
-    for b, S in enumerate(subsets):
-        for a, T in enumerate(subsets):
-            if len(T) != len(S):
-                continue
-            grid[a][b] = m.submatrix(T, S).det() if S else Fraction(1)
-    return RationalMatrix(grid, ncols=len(subsets))
-
-
-def _default_ext_labels(group: str, rank: int) -> List[str]:
-    Q, gen_mats = _ext_group_action(group, rank)
-    labels = ["trivial"]
-    if any(m.det() != 1 for m in gen_mats):
-        labels.append("determinant")
-    if rank == 2:
-        labels.append("generator-space")
-    if rank == 1:
-        labels.append("nilpotent")
-    return labels
-
-
-def _ext_module_data(
-    rank: int, gen_mats: List[RationalMatrix], label: str, da: int
-) -> Tuple[List[RationalMatrix], List[RationalMatrix]]:
-    """Base actions and group operators for one configured module."""
-
-    def scalar_only(mdim: int) -> List[RationalMatrix]:
-        ident = RationalMatrix.identity(mdim)
-        zero = RationalMatrix.zeros(mdim, mdim)
-        return [ident if i == 0 else zero for i in range(da)]
-
-    if label == "trivial":
-        return scalar_only(1), [RationalMatrix.identity(1) for _ in gen_mats]
-    if label == "determinant":
-        return scalar_only(1), [RationalMatrix([[m.det()]], ncols=1) for m in gen_mats]
-    if label == "generator-space":
-        return scalar_only(rank), list(gen_mats)
-    if label == "nilpotent":
-        if rank != 1:
-            raise _InputError("the nilpotent module is configured for rank 1 only")
-        base = [
-            RationalMatrix.identity(2),
-            RationalMatrix([[0, 1], [0, 0]], ncols=2),
-        ]
-        ops = [RationalMatrix.diagonal([1, m.entry(0, 0)]) for m in gen_mats]
-        return base, ops
-    raise _InputError(f"unknown module label {label!r}")
-
-
-def _job_ext_crossed(inputs: dict) -> dict:
-    from wallforge.groupalg import (
-        AlgebraPresentation,
-        crossed_ext_compare,
-        crossed_module,
-        crossed_product,
-    )
-
-    rank = _as_int(inputs["rank"], "rank", minimum=1)
-    if rank > 2:
-        raise _InputError("configured actions stop at rank 2")
-    n_max = _as_int(inputs["n_max"], "n_max", minimum=0)
-    labels = inputs["modules"]
-    if not isinstance(labels, list) or not labels:
-        raise _InputError("need a nonempty list of module labels")
-    Q, gen_mats = _ext_group_action(inputs["group"], rank)
-    A = AlgebraPresentation.exterior_algebra(rank)
-    action = [_exterior_extension(rank, m) for m in gen_mats]
-    cp = crossed_product(A, Q, action)
-    eps = A.augmentation_values()
-    modules = []
-    for label in labels:
-        base, ops = _ext_module_data(rank, gen_mats, str(label), A.dim)
-        modules.append(crossed_module(cp, base, ops))
-    reports = []
-    for label, rep in zip(labels, crossed_ext_compare(cp, modules, eps, n_max)):
-        if not rep.ok:
-            raise CertificateError(
-                f"Ext comparison fails for module {label!r}: "
-                f"crossed {list(rep.lhs_dims)} vs invariants {list(rep.invariant_dims)}"
-            )
-        entry = {"module": str(label)}
-        entry.update(rep.to_json())
-        reports.append(entry)
-    return {
-        "schema": SCHEMA,
-        "kind": "ext-crossed",
-        "inputs": inputs,
-        "algebra_dim": cp.algebra.dim,
-        "reports": reports,
-        "certificates": {"comparisons": "equal", "pair_count": len(reports)},
-    }
-
-
-_JOBS = {
-    "ce-homology": _job_ce_homology,
-    "wall-demo": _job_wall_demo,
-    "wall-build": _job_wall_build,
-    "tree-ss": _job_tree_ss,
-    "pushout-check": _job_pushout_check,
-    "cosimplicial-check": _job_cosimplicial_check,
-    "bch-verify": _job_bch_verify,
-    "group-law": _job_group_law,
-    "norms": _job_norms,
-    "radius": _job_radius,
-    "ext-crossed": _job_ext_crossed,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -864,126 +131,11 @@ _JOBS = {
 # ---------------------------------------------------------------------------
 
 
-def _recheck_ce(dump: dict) -> None:
-    C = ChainComplex.from_json(dump["complex"])
-    C.require_valid()
-    betti = dump["betti"]
-    dims = homology_dims(C)
-    found = _dim_list(dims, max([0] + list(dims)))
-    stored = list(betti) + [0] * (len(found) - len(betti))
-    if found + [0] * (len(stored) - len(found)) != stored:
-        raise CertificateError(f"stored Betti numbers {betti} do not match {found}")
-
-
-def _recheck_wall(dump: dict) -> None:
-    from wallforge.wall import (
-        base_complex,
-        total_complex,
-        verify_induction_identities,
-        wall_from_json,
-    )
-
-    W = wall_from_json(dump["assembly"])
-    failures = verify_induction_identities(W)
-    if failures:
-        raise CertificateError("; ".join(failures))
-    total = total_complex(W)
-    certs = dump["certificates"]
-    if _dim_list(homology_dims(total), total.hi) != certs["total_homology"]:
-        raise CertificateError("stored total homology does not match the matrices")
-    base = base_complex(W)
-    if _dim_list(homology_dims(base), base.hi) != certs["base_homology"]:
-        raise CertificateError("stored base homology does not match the matrices")
-    section = dump.get("truncated")
-    if section:
-        Wt = wall_from_json(section["assembly"])
-        bad = verify_induction_identities(Wt)
-        if bad:
-            raise CertificateError("; ".join(bad))
-        t_total = total_complex(Wt)
-        betti_total = _dim_list(homology_dims(t_total), t_total.hi)
-        betti_base = _dim_list(homology_dims(base_complex(Wt)), t_total.hi)
-        sc = section["certificates"]
-        if betti_total != sc["betti_total"] or betti_base != sc["betti_base"]:
-            raise CertificateError("stored truncated Betti numbers do not match")
-        if betti_total != betti_base:
-            raise CertificateError("truncated total and base homology disagree")
-
-
-def _recheck_tree(dump: dict) -> None:
-    C = ChainComplex.from_json(dump["complex"])
-    C.require_valid()
-    aug = RationalMatrix.from_json(dump["augmentation"])
-    if not (aug @ C.diff(1)).is_zero():
-        raise CertificateError("stored augmentation does not kill the boundary")
-    dims = homology_dims(C)
-    if [dims.get(0, 0), dims.get(1, 0)] != dump["certificates"]["homology"]:
-        raise CertificateError("stored homology does not match the matrices")
-
-
-def _recheck_pushout(dump: dict) -> None:
-    C = ChainComplex.from_json(dump["complex"])
-    C.require_valid()
-    dims = homology_dims(C)
-    if [dims.get(0, 0), dims.get(1, 0)] != dump["certificates"]["homology"]:
-        raise CertificateError("stored homology does not match the matrices")
-
-
-def _recheck_bch(dump: dict) -> None:
-    p = dump["inputs"]["p"]
-    _check_prime(p)
-    for result in dump["results"]:
-        for row in result["components"]:
-            term = RationalMatrix.from_json(row["term"])
-            mv = _min_valuation(term, p)
-            if mv != row["min_valuation"]:
-                raise CertificateError(
-                    f"stored valuation {row['min_valuation']} does not match {mv}"
-                )
-            bound = Fraction(row["bound"])
-            if mv is not None and Fraction(mv) < bound:
-                raise CertificateError(f"component {row['n']} breaks its bound")
-
-
-def _recheck_norms(dump: dict) -> None:
-    for i, row in enumerate(dump["pairs"]):
-        nf = PExponent.from_json(row["norm_f"])
-        ng = PExponent.from_json(row["norm_g"])
-        nfg = PExponent.from_json(row["norm_product"])
-        if nfg != nf * ng:
-            raise CertificateError(f"stored norms of pair {i} do not multiply")
-    for i, row in enumerate(dump["expansions"]):
-        norm = PExponent.from_json(row["norm"])
-        bound = PExponent.from_json(row["bound"])
-        if not (norm <= bound) or not row["within_bound"]:
-            raise CertificateError(f"stored expansion {i} breaks its bound")
-
-
-def _recheck_ext(dump: dict) -> None:
-    for rep in dump["reports"]:
-        if rep["crossed_ext_dims"] != rep["invariant_dims"] or not rep["ok"]:
-            raise CertificateError(
-                f"module {rep['module']!r}: stored dimensions disagree"
-            )
-
-
-_RECHECKS = {
-    "ce-homology": _recheck_ce,
-    "wall-demo": _recheck_wall,
-    "wall-build": _recheck_wall,
-    "tree-ss": _recheck_tree,
-    "pushout-check": _recheck_pushout,
-    "bch-verify": _recheck_bch,
-    "norms": _recheck_norms,
-    "ext-crossed": _recheck_ext,
-}
-
-
 def _replay_validate(data: dict) -> None:
     if data.get("schema") != SCHEMA:
         raise ValueError(f"missing or unsupported schema tag, expected {SCHEMA!r}")
     kind = data.get("kind")
-    if kind not in _JOBS:
+    if kind not in _FAMILIES:
         raise ValueError(f"unknown dump kind {kind!r}")
     if not isinstance(data.get("inputs"), dict):
         raise ValueError("dump carries no inputs to replay")
@@ -991,12 +143,21 @@ def _replay_validate(data: dict) -> None:
         raise ValueError("dump carries no certificates")
 
 
-def _replay_check(data: dict, fresh: dict) -> None:
-    """Re-check the stored certificates, then compare with the recomputed dump."""
-    recheck = _RECHECKS.get(data["kind"])
+def _replay_check(data: dict, text: str, fresh: dict) -> None:
+    """Re-check the stored certificates, then compare with the recomputed dump.
+
+    ``text`` is the file ``data`` was parsed from.  A dump written by
+    ``_emit`` matches the fresh rendering byte for byte; only a file that was
+    reformatted since is rendered again from ``data``.
+    """
+    kind = data["kind"]
+    recheck = _family(kind).RECHECKS.get(kind)
     if recheck is not None:
         recheck(data)
-    if _render(fresh) != _render(data):
+    rendered = _render(fresh)
+    if rendered != text and rendered != _render(data):
+        from wallforge.complexes import CertificateError
+
         raise CertificateError(
             "recomputation from the recorded inputs does not reproduce the dump"
         )
@@ -1012,20 +173,21 @@ def verify_replay(paths: Sequence[str]) -> int:
     or does not parse, breaks the certificate.
     """
 
-    def work(path: str) -> Tuple[str, str, str]:
+    def work(path: str) -> tuple[str, str, str]:
         try:
-            data = _load_json(path)
+            data, text = _load_json(path)
             _replay_validate(data)
         except ValueError as exc:
             return ("invalid", path, str(exc))
+        kind = data["kind"]
         try:
-            fresh = _JOBS[data["kind"]](_RecordedInputs(data["inputs"]))
+            fresh = _family(kind).JOBS[kind](_RecordedInputs(data["inputs"]))
         except _InputError as exc:
             return ("invalid", path, str(exc))
         except Exception as exc:
             return ("fail", path, str(exc))
         try:
-            _replay_check(data, fresh)
+            _replay_check(data, text, fresh)
         except Exception as exc:
             return ("fail", path, str(exc))
         return ("ok", path, "")
@@ -1189,7 +351,7 @@ def _spec_from_args(ns: argparse.Namespace) -> JobSpec:
     )
 
 
-def _resolve_inputs(spec: JobSpec, docs: List[dict]) -> dict:
+def _resolve_inputs(spec: JobSpec, docs: list[dict]) -> dict:
     """Fold loaded files and flags into the handler's self-contained inputs."""
     name = spec.subcommand
     opts = spec.options
@@ -1203,10 +365,13 @@ def _resolve_inputs(spec: JobSpec, docs: List[dict]) -> dict:
             if not isinstance(pairs, list):
                 raise ValueError("the pairs file needs a 'pairs' list")
         else:
-            pairs = _builtin_bch_pairs(opts["p"], opts["size"])
+            pairs = _family(name).builtin_bch_pairs(opts["p"], opts["size"])
         return {"p": opts["p"], "n_max": opts["n_max"], "pairs": pairs}
     if name == "group-law":
-        lie = docs[0] if docs else _powerful_heisenberg_json(_check_prime(opts["p"]))
+        if docs:
+            lie = docs[0]
+        else:
+            lie = _family(name).powerful_heisenberg_json(_check_prime(opts["p"]))
         return {"p": opts["p"], "N": opts["N"], "lie": lie}
     if name == "pushout-check":
         return {
@@ -1222,7 +387,7 @@ def _resolve_inputs(spec: JobSpec, docs: List[dict]) -> dict:
     if name == "ext-crossed":
         labels = opts["modules"]
         if labels is None:
-            labels = _default_ext_labels(opts["group"], opts["rank"])
+            labels = _family(name).default_ext_labels(opts["group"], opts["rank"])
         else:
             labels = [part.strip() for part in str(labels).split(",") if part.strip()]
         return {
@@ -1239,29 +404,29 @@ def dispatch(spec: JobSpec) -> int:
     try:
         if spec.subcommand == "verify-replay":
             return verify_replay(spec.input_paths)
-        docs = [_load_json(path) for path in spec.input_paths]
+        docs = [_load_json(path)[0] for path in spec.input_paths]
         inputs = _resolve_inputs(spec, docs)
-        dump = _JOBS[spec.subcommand](inputs)
+        dump = _family(spec.subcommand).JOBS[spec.subcommand](inputs)
         _emit(dump, spec.output_path)
         return 0
-    except CertificateError as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        if _is_certificate_failure(exc):
+            print(f"certificate failure: {exc}", file=sys.stderr)
+            return 2
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
 
 
-def _merge_negative_values(argv: List[str]) -> List[str]:
+def _merge_negative_values(argv: list[str]) -> list[str]:
     """Fold ``--r -1/4`` into ``--r=-1/4`` so argparse keeps the value.
 
     Negative integers survive argparse's own heuristics; negative fractions
     with a slash do not, and the exponent flags take exactly those.
     """
-    merged: List[str] = []
+    merged: list[str] = []
     skip = False
     for i, tok in enumerate(argv):
         if skip:
@@ -1277,7 +442,7 @@ def _merge_negative_values(argv: List[str]) -> List[str]:
     return merged
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
     try:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallforge import cli
+from wallforge import arith, cli
 from wallforge.cli import _merge_negative_values, main, verify_replay
 from wallforge.groupalg import AlgebraPresentation
 from wallforge.lie import LieAlgebra
@@ -300,6 +300,20 @@ class TestTreeSS:
         code, _, _ = _run(capsys, ["tree-ss", "--p", "2", "--radius", "-1"])
         assert code == 1
 
+    def test_failed_certificate_and_internal_fault_exit_codes(self, capsys, monkeypatch):
+        from wallforge import cli_tree
+
+        monkeypatch.setattr(cli_tree, "homology_dims", lambda C: {0: 0, 1: 1})
+        code, _, err = _run(capsys, ["tree-ss", "--p", "2", "--radius", "1"])
+        assert code == 2 and err.startswith("certificate failure: ")
+
+        def broken(C):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli_tree, "homology_dims", broken)
+        code, _, err = _run(capsys, ["tree-ss", "--p", "2", "--radius", "1"])
+        assert code == 3 and err.startswith("internal error: ")
+
 
 class TestPushoutCheck:
     def test_convex_gluing(self, capsys):
@@ -568,6 +582,38 @@ class TestVerifyReplay:
         code, out, _ = _run(capsys, ["verify-replay", str(paths["radius"])])
         assert code == 2
 
+    def test_each_dump_is_rendered_once(self, capsys, tmp_path, monkeypatch):
+        paths = _make_dumps(tmp_path, capsys)
+        rendered = []
+        original = cli._render
+
+        def counted(dump):
+            rendered.append(dump["kind"])
+            return original(dump)
+
+        monkeypatch.setattr(cli, "_render", counted)
+        code, out, _ = _run(capsys, ["verify-replay", *map(str, paths.values())])
+        assert code == 0 and out.count("ok ") == len(paths)
+        # only the recomputed dump: the stored one is compared as the text read
+        assert len(rendered) == len(paths)
+
+    def test_reformatted_dump_is_judged_by_its_content(self, capsys, tmp_path):
+        paths = _make_dumps(tmp_path, capsys)
+        files = []
+        for name in ("tree", "norms", "radius"):
+            data = json.loads(paths[name].read_text())
+            compact = tmp_path / f"{name}.compact.json"
+            compact.write_text(json.dumps(data))
+            files.append(str(compact))
+        # radius dumps have no recheck, so only the comparison can catch this
+        data["m"] += 1
+        tampered = tmp_path / "radius.tampered.json"
+        tampered.write_text(json.dumps(data, indent=1))
+        code, out, _ = _run(capsys, ["verify-replay", *files, str(tampered)])
+        assert code == 2
+        verdicts = [line.split(" ", 1)[0] for line in out.splitlines()]
+        assert verdicts == ["ok", "ok", "ok", "FAIL"]
+
     def test_missing_input_is_invalid(self, capsys, tmp_path):
         paths = _make_dumps(tmp_path, capsys)
         data = json.loads(paths["radius"].read_text())
@@ -583,7 +629,8 @@ class TestVerifyReplay:
         def broken(*args, **kwargs):
             raise KeyError("internal")
 
-        monkeypatch.setattr(cli, "radius_params", broken)
+        # the radius job reads radius_params from wallforge.arith when it runs
+        monkeypatch.setattr(arith, "radius_params", broken)
         code, out, _ = _run(capsys, ["verify-replay", str(paths["radius"])])
         assert code == 2
         assert "FAIL" in out and "INVALID" not in out and "missing field" not in out

@@ -8,12 +8,12 @@ import pytest
 
 from oracles import determinant, matrix_group, molien_coefficients, trace
 from wallforge import groupalg
-from wallforge.cli import (
+from wallforge.cli import main
+from wallforge.cli_groupalg import (
     _EXT_ACTIONS,
     _ext_group_action,
     _ext_module_data,
     _exterior_extension,
-    main,
 )
 from wallforge.groupalg import (
     AlgebraPresentation,
