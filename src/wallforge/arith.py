@@ -255,9 +255,7 @@ class RadiusParams:
         }
 
 
-def radius_params(
-    r: PExponent, p: int, e: int, q_res: int, search_bound: int = SEARCH_BOUND
-) -> RadiusParams:
+def radius_params(r: PExponent, p: int, e: int, q_res: int) -> RadiusParams:
     """Compute ``(h, ell, in_sR, m_witness)`` for a radius ``r`` in (1/p, 1).
 
     ``e`` is the ramification index of the coefficient field over Q_p and
@@ -281,26 +279,26 @@ def radius_params(
     kappa = 1 if p > 2 else 2
 
     h = None
-    for k in range(search_bound):
+    for k in range(SEARCH_BOUND):
         # r**kappa < p**(-1/((p-1) p**k))
         if kappa * x < Fraction(-1, (p - 1) * p**k):
             h = k
             break
     if h is None:
-        raise RuntimeError(f"no h below search bound {search_bound}")
+        raise RuntimeError(f"no h below search bound {SEARCH_BOUND}")
 
     ell = None
-    for m in range(search_bound):
+    for m in range(SEARCH_BOUND):
         # p**(-m/e) * p**h * r**(kappa p**h) < p**(-1/(p-1))
         lhs = Fraction(-m, e) + h + kappa * p**h * x
         if lhs < Fraction(-1, p - 1):
             ell = m
             break
     if ell is None:
-        raise RuntimeError(f"no ell below search bound {search_bound}")
+        raise RuntimeError(f"no ell below search bound {SEARCH_BOUND}")
 
     m_witness = None
-    for m in range(search_bound):
+    for m in range(SEARCH_BOUND):
         y = kappa * p**m * x  # exponent of r**(kappa p**m)
         lo = Fraction(-1, p - 1) - Fraction(1, e * q_res**m)
         hi = Fraction(-1, p - 1)

@@ -344,11 +344,6 @@ class GaussPolynomial:
     def total_degree(self) -> int:
         return max((sum(m) for m in self._coeffs), default=0)
 
-    def homogeneous_part(self, n: int) -> "GaussPolynomial":
-        return GaussPolynomial(
-            self.nvars, {m: c for m, c in self._coeffs.items() if sum(m) == n}
-        )
-
     def __add__(self, other: "GaussPolynomial") -> "GaussPolynomial":
         self._check(other)
         out = dict(self._coeffs)

@@ -176,14 +176,16 @@ def _job_wall_build(inputs: dict) -> dict:
     lengths = job.get("lengths")
     if not isinstance(lengths, list) or len(lengths) != len(modules):
         raise _InputError("the job needs one column length per module")
+    # the scan order of generator picks and lifts is fixed; jobs may still
+    # name it, as dumps of the wallforge/1 format do
     order = job.get("order", "forward")
-    if order not in ("forward", "reversed"):
-        raise _InputError(f"order must be 'forward' or 'reversed', got {order!r}")
+    if order != "forward":
+        raise _InputError(f"order must be 'forward', got {order!r}")
     resolutions = [
-        free_resolution(A, M, _as_int(L, "column length", minimum=0), order=order)
+        free_resolution(A, M, _as_int(L, "column length", minimum=0))
         for M, L in zip(modules, lengths)
     ]
-    wall = build_wall(resolutions, maps, order=order)
+    wall = build_wall(resolutions, maps)
     truncate = job.get("truncate")
     if truncate is not None:
         truncate = _as_int(truncate, "truncate", minimum=0)

@@ -32,7 +32,7 @@ def _job_tree_ss(inputs: dict) -> dict:
             f"ball of radius {radius} has {ball.vertex_count} vertices, "
             f"the count formula gives {expected}"
         )
-    cs = TreeCoefficientSystem.constant(ball, dim=fiber, augmented=True)
+    cs = TreeCoefficientSystem.constant(ball, dim=fiber)
     C, aug = ss_chain_complex(cs)
     dims = homology_dims(C)
     h0, h1 = dims.get(0, 0), dims.get(1, 0)

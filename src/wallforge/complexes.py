@@ -6,7 +6,7 @@ degrees with a presentation flag, so there is exactly one validation and one
 homology code path.
 
 Construction is lazy: the constructor checks shapes only.  ``d o d = 0`` is
-enforced by ``validate_complex``, and anything downstream (homology,
+checked by ``ChainComplex.violations``, and anything downstream (homology,
 truncation, Hom complexes) insists on a valid complex before it runs.
 
 Sign conventions, fixed once for the whole package:
@@ -19,7 +19,7 @@ Sign conventions, fixed once for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from wallforge.linalg import (
     RationalMatrix,
@@ -41,14 +41,13 @@ class ChainComplex:
     differentials are zero.  Instances are immutable.
     """
 
-    __slots__ = ("_dims", "_diffs", "presentation", "labels", "_valid")
+    __slots__ = ("_dims", "_diffs", "presentation", "_valid")
 
     def __init__(
         self,
         dims: Dict[int, int],
         diffs: Dict[int, RationalMatrix],
         presentation: str = "chain",
-        labels: Optional[Dict[int, Sequence[str]]] = None,
     ):
         if presentation not in ("chain", "cochain"):
             raise ValueError(f"unknown presentation {presentation!r}")
@@ -66,14 +65,9 @@ class ChainComplex:
                 raise ValueError(f"d_{n} has shape {M.shape}, expected {want}")
             if not M.is_zero():
                 clean_diffs[n] = M
-        if labels is not None:
-            for n, names in labels.items():
-                if len(names) != clean_dims.get(int(n), 0):
-                    raise ValueError(f"label count mismatch at degree {n}")
         object.__setattr__(self, "_dims", dict(sorted(clean_dims.items())))
         object.__setattr__(self, "_diffs", dict(sorted(clean_diffs.items())))
         object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_valid", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -162,11 +156,6 @@ class HomologyRecord:
     representatives: tuple = field(default_factory=tuple)
 
 
-def validate_complex(C: ChainComplex) -> list:
-    """Empty list when ``d o d = 0`` everywhere, else the violating degrees."""
-    return C.violations()
-
-
 def homology(C: ChainComplex, n: int) -> HomologyRecord:
     """Homology at degree n with explicit cycle representatives.
 
@@ -201,10 +190,6 @@ def homology_dims(C: ChainComplex) -> Dict[int, int]:
 def is_exact(C: ChainComplex, skip_degrees: Sequence[int] = ()) -> bool:
     skip = set(skip_degrees)
     return all(h == 0 for n, h in homology_dims(C).items() if n not in skip)
-
-
-def euler_characteristic(C: ChainComplex) -> int:
-    return sum((-1) ** n * d for n, d in C.dims.items())
 
 
 class ChainMap:
@@ -297,14 +282,16 @@ class TruncationData:
     inclusion: RationalMatrix  # quotient representatives -> old coords
 
 
-def truncate_canonical(C: ChainComplex, d: int, with_data: bool = False):
+def truncate_canonical(C: ChainComplex, d: int):
     """Canonical truncation: kill homology above degree d, keep it below.
 
     Degrees above d are dropped, degree d becomes the quotient
     ``C_d / im(d_{d+1})`` presented on a greedily chosen subset of the
     original coordinates, and ``d_d`` descends because boundaries map to
-    zero.  With ``with_data=True`` also returns the projection and
-    inclusion matrices of the quotient presentation.
+    zero.  Returns ``(truncated complex, data)``, where ``data`` is the
+    ``TruncationData`` of the quotient presentation (its projection and
+    inclusion matrices), or None when C is already zero above d and is
+    returned as it is.
     """
     C.require_valid()
     if C.lo < 0:
@@ -312,7 +299,7 @@ def truncate_canonical(C: ChainComplex, d: int, with_data: bool = False):
     if d < 0:
         raise ValueError("truncation degree must be nonnegative")
     if d >= C.hi:
-        return (C, None) if with_data else C
+        return C, None
     cd = C.dim(d)
     _, _, image = rank_kernel_image(C.diff(d + 1))
     std = [
@@ -330,8 +317,6 @@ def truncate_canonical(C: ChainComplex, d: int, with_data: bool = False):
     ) if cd else RationalMatrix.zeros(0, 0)
     if new_dim and d - 1 >= C.lo and C.dim(d - 1):
         diffs[d] = C.diff(d) @ inclusion
-    if not with_data:
-        return ChainComplex(dims, diffs)
     if cd and (image or kept):
         basis_cols = list(image) + [std[i] for i in kept]
         M = RationalMatrix.from_columns(basis_cols, nrows=cd)

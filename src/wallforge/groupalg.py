@@ -17,7 +17,7 @@ algebra entry a_{tu}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -705,9 +705,8 @@ def _greedy_module_generators(
     act: Callable[[tuple], List[tuple]],
     candidates: Sequence[tuple],
     ambient_dim: int,
-    order: str,
 ) -> List[Tuple[tuple, List[tuple]]]:
-    """Pick candidates whose A-span grows, scanning in the requested order.
+    """Pick candidates whose A-span grows, scanning them in the order given.
 
     The candidates must be linearly independent and span an A-submodule,
     as a kernel basis of a module map does.  ``act(v)`` lists the images of
@@ -716,23 +715,18 @@ def _greedy_module_generators(
     candidate list; greedy selection keeps free ranks small and
     deterministic.
     """
-    if order not in ("forward", "reversed"):
-        raise ValueError(f"order must be 'forward' or 'reversed', got {order!r}")
-    scan = list(candidates)
-    if order == "reversed":
-        scan = scan[::-1]
     tracker = SpanTracker(ambient_dim)
     chosen = []
-    for v in scan:
+    for v in candidates:
         # once the span has the candidates' dimension it holds all of them
-        if tracker.rank == len(scan):
+        if tracker.rank == len(candidates):
             break
         if tracker.contains(v):
             continue
         images = act(v)
         chosen.append((v, images))
         for w in images:
-            if tracker.rank == len(scan):
+            if tracker.rank == len(candidates):
                 break
             tracker.add(w)
     return chosen
@@ -742,14 +736,14 @@ def free_resolution(
     A: AlgebraPresentation,
     M: ModulePresentation,
     length: int,
-    order: str = "forward",
 ) -> FreeResolution:
     """Iterated free covers of M, with greedily chosen generators.
 
     Each step covers the kernel of the previous map by a free module whose
-    generators are picked greedily from the kernel's echelon basis (in
-    ``order``; "reversed" scans backwards and generally produces a different
-    but equally valid resolution, which tests use for independence checks).
+    generators are picked greedily, scanning the kernel's echelon basis
+    (the standard basis of M in degree 0) from first to last.  Any other
+    choice of generators gives an equally valid resolution; Ext and the
+    Wall complexes built on it do not depend on the choice.
     Exactness in degrees 1..length-1 and at the augmentation holds by
     construction and is certified by ``augmented()`` homology.
     """
@@ -758,7 +752,7 @@ def free_resolution(
     da = A.dim
     std = [tuple(1 if k == i else 0 for k in range(M.dim)) for i in range(M.dim)]
     gens0 = _greedy_module_generators(
-        lambda v: [m.apply(v) for m in M.actions], std, M.dim, order
+        lambda v: [m.apply(v) for m in M.actions], std, M.dim
     )
     r0 = len(gens0)
     aug_cols = [w for _, images in gens0 for w in images]
@@ -781,7 +775,7 @@ def free_resolution(
             continue
         _, kernel, _ = rank_kernel_image(current)
         gens = _greedy_module_generators(
-            lambda v: _free_images(left, v), kernel, prev_dim, order
+            lambda v: _free_images(left, v), kernel, prev_dim
         )
         rn = len(gens)
         ranks.append(rn)
@@ -865,7 +859,6 @@ def ext_dims(
     M: ModulePresentation,
     N: ModulePresentation,
     n_max: int,
-    order: str = "forward",
     res: Optional[FreeResolution] = None,
 ) -> List[int]:
     """dim Ext_A**n(M, N) for n = 0..n_max, from a free resolution of M.
@@ -876,7 +869,7 @@ def ext_dims(
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if res is None:
-        res = free_resolution(A, M, n_max + 1, order=order)
+        res = free_resolution(A, M, n_max + 1)
     elif len(res.ranks) < n_max + 2:
         raise ValueError(
             f"a resolution of length {len(res.ranks) - 1} is too short, need {n_max + 1}"
@@ -891,7 +884,6 @@ def ext_dims_via_hom_complex(
     M: ModulePresentation,
     N: ModulePresentation,
     n_max: int,
-    order: str = "forward",
 ) -> List[int]:
     """Same Ext dimensions through the constrained-subspace Hom route.
 
@@ -902,7 +894,7 @@ def ext_dims_via_hom_complex(
     """
     from wallforge.complexes import hom_constrained
 
-    res = free_resolution(A, M, n_max + 1, order=order)
+    res = free_resolution(A, M, n_max + 1)
     da = A.dim
     hom_bases: Dict[int, List[RationalMatrix]] = {}
     for n in range(len(res.ranks)):
@@ -1057,29 +1049,21 @@ class CrossedProductAlgebra:
             out[self.basis_index(i, q)] = canonical(c)
         return tuple(out)
 
-    def group_unit_element(self, q: int) -> tuple:
-        return self.include_base(self.base.unit, q)
-
 
 def crossed_product(
     A: AlgebraPresentation,
     Q: FiniteGroupTable,
     action: Sequence[RationalMatrix],
-    cocycle: Optional[CocycleTable] = None,
 ) -> CrossedProductAlgebra:
-    """Build the crossed product of A by Q; the cocycle defaults to trivial.
+    """Build the crossed product of A by Q, the skew group algebra A # Q.
+
+    The cocycle is trivial: Q acts on A through ``action`` only.
 
     Cocycle and weak-action conditions are validated first and reported with
     the offending tuple; associativity of the product algebra is re-validated
     from scratch by the AlgebraPresentation constructor.
     """
-    if cocycle is None:
-        cocycle = CocycleTable.trivial_cocycle(Q, A, action)
-    else:
-        if cocycle.group is not Q or cocycle.algebra is not A:
-            cocycle = CocycleTable(
-                group=Q, algebra=A, action=tuple(action), values=dict(cocycle.values)
-            )
+    cocycle = CocycleTable.trivial_cocycle(Q, A, action)
     bad = cocycle.violations()
     if bad:
         raise ValueError("invalid cocycle data: " + "; ".join(bad))
@@ -1158,7 +1142,6 @@ def _lift_semilinear_chain_map(
     res: FreeResolution,
     tau: RationalMatrix,
     top_degree: int,
-    order: str = "forward",
 ) -> List[RationalMatrix]:
     """A tau-semilinear chain self-map of the resolution lifting identity.
 
@@ -1178,7 +1161,7 @@ def _lift_semilinear_chain_map(
             d = res.complex.diff(n)
             lhs = d
             rhs = lifts[n - 1] @ d
-        sol = solve_in_subspace(lhs, rhs, basis, side="right", order=order)
+        sol = solve_in_subspace(lhs, rhs, basis)
         if sol is None:
             raise CertificateError(f"semilinear lift failed at degree {n}")
         lifts.append(sol)
@@ -1313,7 +1296,6 @@ def crossed_ext_compare(
     modules: Sequence[ModulePresentation],
     eps_A: Sequence,
     n_max: int,
-    order: str = "forward",
 ) -> List[CrossedCompareReport]:
     """Certify dim Ext_B**n(E, M) = dim (Ext_A**n(E, M))**Q for n <= n_max.
 
@@ -1334,16 +1316,16 @@ def crossed_ext_compare(
     Q = cp.group
     eps_B = [Fraction(eps_A[i]) for _ in range(Q.order) for i in range(A.dim)]
     E_B = ModulePresentation.one_dimensional(cp.algebra, eps_B)
-    res_B = free_resolution(cp.algebra, E_B, n_max + 1, order=order)
+    res_B = free_resolution(cp.algebra, E_B, n_max + 1)
     E_A = ModulePresentation.one_dimensional(A, eps_A)
-    res_A = free_resolution(A, E_A, n_max + 1, order=order)
+    res_A = free_resolution(A, E_A, n_max + 1)
     lifts = {
-        q: _lift_semilinear_chain_map(res_A, cp.cocycle.action[Q.inv(q)], n_max, order=order)
+        q: _lift_semilinear_chain_map(res_A, cp.cocycle.action[Q.inv(q)], n_max)
         for q in Q.generators()
     }
     reports = []
     for M_B in modules:
-        lhs = ext_dims(cp.algebra, E_B, M_B, n_max, order=order, res=res_B)
+        lhs = ext_dims(cp.algebra, E_B, M_B, n_max, res=res_B)
         restricted = _restrict_to_base(cp, M_B, res_A, n_max + 1)
         base_dims = []
         inv_dims = []

@@ -27,8 +27,8 @@ count, because boundary maps into and out of the zero module show up
 constantly in chain complexes.
 
 The module also provides an incremental span tracker used for greedy basis
-completion, and ``solve_in_subspace``, the constrained matrix solver behind
-every chain-map lift in the package.
+completion, and ``solve_in_subspace``, the constrained solver of
+``A @ X = B`` behind every chain-map lift in the package.
 """
 
 from __future__ import annotations
@@ -266,9 +266,6 @@ class RationalMatrix:
 
     def is_zero(self) -> bool:
         return not any(self._rows)
-
-    def is_integer(self) -> bool:
-        return all(type(x) is int for row in self._rows for x in row.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -759,31 +756,20 @@ def solve_in_subspace(
     A: RationalMatrix,
     B: RationalMatrix,
     basis: Sequence[RationalMatrix],
-    side: str = "left",
-    order: str = "forward",
 ) -> Optional[RationalMatrix]:
-    """Solve a matrix equation with the unknown constrained to a given span.
+    """Find X in span(basis) with ``A @ X = B``, or None when the span has none.
 
-    With ``side="left"`` finds X in span(basis) with ``X @ A = B``; with
-    ``side="right"`` finds X with ``A @ X = B``.  Returns the combination
-    matrix, or None when no solution exists in the span.  ``order="reversed"``
-    enumerates the basis backwards, which can change the particular solution
-    in underdetermined systems; downstream invariants must not depend on the
-    choice, and tests exercise both.
+    Returns the combination matrix.  Coefficients of the basis are solved
+    for in the order given, with free ones set to zero, so the answer is
+    unique for a given basis.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if order not in ("forward", "reversed"):
-        raise ValueError(f"order must be 'forward' or 'reversed', got {order!r}")
     mats = list(basis)
-    if order == "reversed":
-        mats = mats[::-1]
     if not mats:
         return RationalMatrix.zeros(*B.shape) if B.is_zero() else None
     shape0 = mats[0].shape
     if any(m.shape != shape0 for m in mats):
         raise ValueError("constraint matrices differ in shape")
-    images = [m @ A if side == "left" else A @ m for m in mats]
+    images = [A @ m for m in mats]
     if images[0].shape != B.shape:
         raise ValueError(f"target shape {B.shape} vs produced {images[0].shape}")
     if B.nrows * B.ncols == 0:

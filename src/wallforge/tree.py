@@ -446,9 +446,8 @@ class TreeCoefficientSystem:
         raise AttributeError("TreeCoefficientSystem is immutable")
 
     @classmethod
-    def constant(
-        cls, subtree: FiniteSubtree, dim: int = 1, augmented: bool = True
-    ) -> "TreeCoefficientSystem":
+    def constant(cls, subtree: FiniteSubtree, dim: int = 1) -> "TreeCoefficientSystem":
+        """Q**dim on every facet, identity restrictions, augmented onto Q**dim."""
         ident = RationalMatrix.identity(dim)
         ne = subtree.edge_count
         return cls(
@@ -457,8 +456,8 @@ class TreeCoefficientSystem:
             [dim] * ne,
             [ident] * ne,
             [ident] * ne,
-            augmentation_dim=dim if augmented else None,
-            augmentation_maps=[ident] * subtree.vertex_count if augmented else None,
+            augmentation_dim=dim,
+            augmentation_maps=[ident] * subtree.vertex_count,
         )
 
 

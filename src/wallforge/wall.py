@@ -131,7 +131,7 @@ class WallAssembly:
     out of range so bookkeeping loops stay uniform.
     """
 
-    __slots__ = ("algebra", "base_modules", "base_maps", "columns", "connecting", "order")
+    __slots__ = ("algebra", "base_modules", "base_maps", "columns", "connecting")
 
     def __init__(
         self,
@@ -140,7 +140,6 @@ class WallAssembly:
         base_maps: Sequence[RationalMatrix],
         columns: Sequence[WallColumn],
         connecting: Dict[Tuple[int, int, int], RationalMatrix],
-        order: str = "forward",
     ):
         if len(base_modules) != len(columns):
             raise ValueError("one column per base degree")
@@ -151,7 +150,6 @@ class WallAssembly:
         object.__setattr__(self, "base_maps", tuple(base_maps))
         object.__setattr__(self, "columns", tuple(columns))
         object.__setattr__(self, "connecting", dict(connecting))
-        object.__setattr__(self, "order", order)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("WallAssembly is immutable")
@@ -209,7 +207,9 @@ class WallAssembly:
             "base_maps": [m.to_json() for m in self.base_maps],
             "columns": [col.to_json() for col in self.columns],
             "connecting": entries,
-            "order": self.order,
+            # a fixed field of the wallforge/1 format: the scan order of
+            # every generator pick and lift, which is always first to last
+            "order": "forward",
         }
 
 
@@ -226,10 +226,7 @@ def wall_from_json(data: dict) -> WallAssembly:
         (int(e["k"]), int(e["q"]), int(e["j"])): RationalMatrix.from_json(e["matrix"])
         for e in data["connecting"]
     }
-    return WallAssembly(
-        algebra, base_modules, base_maps, columns, connecting,
-        order=data.get("order", "forward"),
-    )
+    return WallAssembly(algebra, base_modules, base_maps, columns, connecting)
 
 
 # ---------------------------------------------------------------------------
@@ -404,27 +401,15 @@ def _assemble(
     base_modules: Sequence[ModulePresentation],
     base_maps: Sequence[RationalMatrix],
     columns: Sequence[WallColumn],
-    order: str,
 ) -> WallAssembly:
     _validate_base(algebra, base_modules, base_maps)
     _validate_columns(algebra, base_modules, columns)
-    q_max = len(columns) - 1
-    connecting: Dict[Tuple[int, int, int], RationalMatrix] = {}
-
-    def spot_dim(q: int, j: int) -> int:
-        if q < 0 or q > q_max:
-            return 0
-        return columns[q].dim(j)
-
-    def get_map(k: int, q: int, j: int) -> RationalMatrix:
-        if k == 0:
-            return columns[q].diff(j)
-        M = connecting.get((k, q, j))
-        if M is not None:
-            return M
-        return RationalMatrix.zeros(spot_dim(q - k, j + k - 1), spot_dim(q, j))
-
-    top = max(q + col.length for q, col in enumerate(columns))
+    W = WallAssembly(algebra, base_modules, base_maps, columns, {})
+    q_max = W.q_max
+    # filled in place, in increasing total degree: every map an obstruction
+    # needs is stored before it is read through ``W.map``
+    connecting = W.connecting
+    top = W.top_degree()
     for n in range(1, top + 1):
         for k in range(1, min(n, q_max) + 1):
             for q in range(k, min(n, q_max) + 1):
@@ -434,7 +419,7 @@ def _assemble(
                 src_dim = columns[q].dim(j)
                 if src_dim == 0:
                     continue
-                tgt_dim = spot_dim(q - k, j + k - 1)
+                tgt_dim = W.spot_dim(q - k, j + k - 1)
                 if k == 1 and j == 0:
                     rhs = base_maps[q - 1] @ columns[q].augmentation
                     if tgt_dim == 0:
@@ -445,20 +430,18 @@ def _assemble(
                             )
                         continue
                     basis = _hom_basis_between(algebra, columns[q], 0, columns[q - 1], 0)
-                    lift = solve_in_subspace(
-                        columns[q - 1].augmentation, rhs, basis, side="right", order=order
-                    )
+                    lift = solve_in_subspace(columns[q - 1].augmentation, rhs, basis)
                     if lift is None:
                         raise CertificateError(f"lifting system inconsistent at (q={q}, j=0, k=1)")
                     if not lift.is_zero():
                         connecting[(1, q, 0)] = lift
                     continue
-                obstruction = RationalMatrix.zeros(spot_dim(q - k, j + k - 2), src_dim)
+                obstruction = RationalMatrix.zeros(W.spot_dim(q - k, j + k - 2), src_dim)
                 for h in range(k):
                     if h == 0 and j == 0:
                         continue
-                    left = get_map(k - h, q - h, j + h - 1)
-                    right = get_map(h, q, j)
+                    left = W.map(k - h, q - h, j + h - 1)
+                    right = W.map(h, q, j)
                     if not (left.is_zero() or right.is_zero()):
                         obstruction = obstruction + left @ right
                 if tgt_dim == 0:
@@ -477,13 +460,12 @@ def _assemble(
                         "im(del) is not inside im(d0)"
                     )
                 basis = _hom_basis_between(algebra, columns[q], j, columns[q - k], j + k - 1)
-                lift = solve_in_subspace(target_diff, rhs, basis, side="right", order=order)
+                lift = solve_in_subspace(target_diff, rhs, basis)
                 if lift is None:
                     raise CertificateError(f"lifting system inconsistent at (q={q}, j={j}, k={k})")
                 if not lift.is_zero():
                     connecting[(k, q, j)] = lift
 
-    W = WallAssembly(algebra, base_modules, base_maps, columns, connecting, order=order)
     bad = verify_induction_identities(W)
     if bad:
         raise CertificateError("construction self-check failed: " + "; ".join(bad))
@@ -493,7 +475,6 @@ def _assemble(
 def build_wall(
     resolutions: Sequence[FreeResolution],
     base_maps: Sequence[RationalMatrix],
-    order: str = "forward",
 ) -> WallAssembly:
     """Assemble the connecting maps over a base complex.
 
@@ -504,9 +485,10 @@ def build_wall(
     base differential through the augmentations, then for every higher
     spot the accumulated obstruction is checked to land in the image of
     the column differential and a module-linear preimage is chosen by a
-    deterministic constrained solve.  ``order`` picks the pivot scan
-    direction of that solve; "reversed" generally yields different but
-    equally valid maps.
+    deterministic constrained solve (``solve_in_subspace`` over a basis of
+    the module maps between the two spots).  Any other module-linear choice
+    would give an isomorphic total complex; this one is fixed so that
+    dumps are reproducible.
     """
     if not resolutions:
         raise ValueError("need at least one resolution")
@@ -516,7 +498,7 @@ def build_wall(
             raise ValueError("resolutions live over different algebras")
     base_modules = tuple(res.module for res in resolutions)
     columns = tuple(_column_from_resolution(res) for res in resolutions)
-    return _assemble(algebra, base_modules, tuple(base_maps), columns, order)
+    return _assemble(algebra, base_modules, tuple(base_maps), columns)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +677,7 @@ def truncated_wall(W: WallAssembly, d_bound: int) -> WallAssembly:
                 raise ValueError(
                     f"column {q} has homology in degree {j}, above the bound {d_bound}"
                 )
-        truncated, data = truncate_canonical(C, d_bound, with_data=True)
+        truncated, data = truncate_canonical(C, d_bound)
         if data is None:
             # the column was already zero above the bound; just drop the tail
             new_columns.append(
@@ -725,7 +707,7 @@ def truncated_wall(W: WallAssembly, d_bound: int) -> WallAssembly:
                 augmentation=augmentation,
             )
         )
-    return _assemble(algebra, W.base_modules, W.base_maps, tuple(new_columns), W.order)
+    return _assemble(algebra, W.base_modules, W.base_maps, tuple(new_columns))
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +741,7 @@ def ext_via_wall(W: WallAssembly, N: ModulePresentation, n_max: int) -> List[int
     if W.q_max == 0 or S.hi == 0:
         V = W.base_modules[0]
     else:
-        _, data = truncate_canonical(S, 0, with_data=True)
+        _, data = truncate_canonical(S, 0)
         if data is None:
             V = W.base_modules[0]
         else:

@@ -112,9 +112,6 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self._rows for x in r)
 
-    def is_integer(self) -> bool:
-        return all(x.denominator == 1 for r in self._rows for x in r)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
@@ -480,31 +477,19 @@ def solve_in_subspace(
     A: RationalMatrix,
     B: RationalMatrix,
     basis: Sequence[RationalMatrix],
-    side: str = "left",
-    order: str = "forward",
 ) -> Optional[RationalMatrix]:
-    """Solve a matrix equation with the unknown constrained to a given span.
+    """Find X in span(basis) with ``A @ X = B``, or None when the span has none.
 
-    With ``side="left"`` finds X in span(basis) with ``X @ A = B``; with
-    ``side="right"`` finds X with ``A @ X = B``.  Returns the combination
-    matrix, or None when no solution exists in the span.  ``order="reversed"``
-    enumerates the basis backwards, which can change the particular solution
-    in underdetermined systems; downstream invariants must not depend on the
-    choice, and tests exercise both.
+    Returns the combination matrix, with coefficients solved for in the
+    order of the basis and free ones set to zero.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if order not in ("forward", "reversed"):
-        raise ValueError(f"order must be 'forward' or 'reversed', got {order!r}")
     mats = list(basis)
-    if order == "reversed":
-        mats = mats[::-1]
     if not mats:
         return RationalMatrix.zeros(*B.shape) if B.is_zero() else None
     shape0 = mats[0].shape
     if any(m.shape != shape0 for m in mats):
         raise ValueError("constraint matrices differ in shape")
-    images = [m @ A if side == "left" else A @ m for m in mats]
+    images = [A @ m for m in mats]
     if images[0].shape != B.shape:
         raise ValueError(f"target shape {B.shape} vs produced {images[0].shape}")
     if B.nrows * B.ncols == 0:

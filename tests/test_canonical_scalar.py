@@ -169,11 +169,11 @@ def test_solve_in_subspace_is_canonical(g, data):
     p, q, basis_grid = g
     basis = [sparse.RationalMatrix(basis_grid, ncols=q)]
     r = data.draw(DIM)
-    A = sparse.RationalMatrix(data.draw(grids(q, r)), ncols=r)
+    A = sparse.RationalMatrix(data.draw(grids(r, p)), ncols=p)
     c = data.draw(ENTRY)
-    B = basis[0].scale(c) @ A
+    B = A @ basis[0].scale(c)
     X = sparse.solve_in_subspace(A, B, basis)
-    assert X is not None and X @ A == B and stored_canonical(X)
+    assert X is not None and A @ X == B and stored_canonical(X)
 
 
 def test_an_integral_elimination_through_non_unit_pivots_stays_integral():

@@ -280,6 +280,29 @@ class TestWallBuild:
         code, _, _ = _run(capsys, ["wall-build", "--input", path])
         assert code == 1
 
+    def test_order_other_than_forward_is_invalid(self, capsys, tmp_path):
+        path = _wall_job_file(tmp_path, order="reversed")
+        code, out, err = _run(capsys, ["wall-build", "--input", path])
+        assert code == 1 and out == ""
+        assert "invalid input: order must be 'forward'" in err
+
+    def test_replay_of_a_job_with_another_order_is_invalid(self, capsys, tmp_path):
+        dump = _run_json(capsys, ["wall-build", "--input", _wall_job_file(tmp_path)])
+        dump["inputs"]["job"]["order"] = "reversed"
+        path = tmp_path / "reversed.json"
+        path.write_text(cli._render(dump))
+        code, out, _ = _run(capsys, ["verify-replay", str(path)])
+        assert code == 1
+        assert out.startswith(f"INVALID {path}: order must be 'forward'")
+
+    def test_order_forward_renders_as_no_order(self, capsys, tmp_path):
+        code, plain, _ = _run(capsys, ["wall-build", "--input", _wall_job_file(tmp_path)])
+        assert code == 0
+        named = _run_json(capsys, ["wall-build", "--input", _wall_job_file(tmp_path, order="forward")])
+        # the job is recorded as given; apart from that key the bytes agree
+        assert named["inputs"]["job"].pop("order") == "forward"
+        assert cli._render(named) == plain
+
 
 class TestTreeSS:
     def test_ball_complex(self, capsys):

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from wallforge.complexes import validate_complex
 from wallforge.lie import (
     LieAlgebra,
     LieModule,
@@ -128,7 +127,7 @@ class TestCeComplex:
     def test_differential_squares_to_zero(self):
         g = LieAlgebra.sl2()
         C = ce_complex(g, LieModule.adjoint(g))
-        assert validate_complex(C) == []
+        assert C.violations() == []
 
     def test_invalid_input_rejected(self):
         g = LieAlgebra(3, {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]})
@@ -175,7 +174,7 @@ class TestKnownHomology:
         )
         assert validate_lie(g, M).ok
         C = ce_complex(g, M)
-        assert validate_complex(C) == []
+        assert C.violations() == []
 
 
 def test_homology_is_basis_independent():
@@ -213,7 +212,7 @@ def test_homology_is_basis_independent():
             M2 = _conjugate_module(g2, M, P)
             assert validate_lie(g2, M2).ok
             C = ce_complex(g2, M2)
-            assert validate_complex(C) == []
+            assert C.violations() == []
             assert lie_homology(g2, M2) == betti, (betti, P)
 
 

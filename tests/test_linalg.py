@@ -143,29 +143,30 @@ def test_solve_matrix_and_vector():
     assert X2 is not None and U @ X2 == RationalMatrix([[5]])
 
 
-def test_solve_in_subspace_both_sides_and_orders():
+def test_solve_in_subspace():
     A = RationalMatrix([[1, 0], [0, 0]])
-    B = RationalMatrix([[0, 0], [1, 0]])
     basis = [
         RationalMatrix([[1, 0], [0, 1]]),
         RationalMatrix([[0, 0], [1, 0]]),
         RationalMatrix([[0, 1], [0, 0]]),
     ]
-    X = solve_in_subspace(A, B, basis, side="left")
-    assert X is not None and X @ A == B
-    # A kills the second row on the right, so this target is unreachable
-    assert solve_in_subspace(A, B, basis, side="right") is None
+    # A kills the second row of A @ X, so this target is unreachable
+    assert solve_in_subspace(A, RationalMatrix([[0, 0], [1, 0]]), basis) is None
+    # basis[1] is free (A kills it) and set to zero: the answer is basis[2]
     C = RationalMatrix([[0, 1], [0, 0]])
-    Y = solve_in_subspace(A, C, basis, side="right")
-    assert Y is not None and A @ Y == C
-    # reversed order may pick a different particular solution but must still solve
-    Xr = solve_in_subspace(A, B, basis, side="left", order="reversed")
-    assert Xr is not None and Xr @ A == B
+    Y = solve_in_subspace(A, C, basis)
+    assert Y == basis[2] and A @ Y == C
     with pytest.raises(ValueError):
-        solve_in_subspace(A, B, basis, side="up")
+        solve_in_subspace(A, C, [basis[0], RationalMatrix.zeros(3, 3)])
     # empty basis solves only the zero equation
     assert solve_in_subspace(A, RationalMatrix.zeros(2, 2), []) == RationalMatrix.zeros(2, 2)
-    assert solve_in_subspace(A, B, []) is None
+    assert solve_in_subspace(A, C, []) is None
+    # two basis elements with the same image E11: whichever comes first is
+    # the particular solution
+    E11 = RationalMatrix([[1, 0], [0, 0]])
+    E11_E21 = RationalMatrix([[1, 0], [1, 0]])
+    assert solve_in_subspace(A, E11, [E11, E11_E21]) == E11
+    assert solve_in_subspace(A, E11, [E11_E21, E11]) == E11_E21
 
 
 def test_span_tracker():
