@@ -4,9 +4,10 @@ The central objects are multiplication tables: ``FiniteGroupTable`` for
 groups, ``AlgebraPresentation`` for associative unital algebras over Q, and
 ``ModulePresentation`` for finite-dimensional left modules.  On top of them
 sit free resolutions with greedy generator selection, Ext computed from the
-concrete Hom identification Hom_A(A**r, N) = N**r, crossed products with
-normalized 2-cocycles, the comparison of Ext over a crossed product with
-invariants of Ext over the base.
+concrete Hom identification Hom_A(A**r, N) = N**r, skew group algebras
+A # Q of a group acting on an algebra, and the comparison of Ext over
+A # Q with the Q-invariants of Ext over an exterior algebra A, read off
+its Koszul complex.
 
 Free A-modules A**r are realized as vector spaces generator-major: basis
 index u * dim(A) + k stands for the algebra basis element b_k sitting in
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from wallforge.complexes import (
@@ -33,9 +34,7 @@ from wallforge.linalg import (
     SpanTracker,
     canonical,
     rank_kernel_image,
-    solve_in_subspace,
     solve_matrix,
-    solve_vector,
 )
 
 # ---------------------------------------------------------------------------
@@ -419,15 +418,6 @@ class AlgebraPresentation:
     def right_mult_matrix(self, u: Sequence) -> RationalMatrix:
         cols = [self.multiply(self.basis_vector(j), u) for j in range(self.dim)]
         return RationalMatrix.from_columns(cols, nrows=self.dim)
-
-    def inverse(self, u: Sequence) -> Optional[tuple]:
-        """Two-sided inverse of u, or None."""
-        x = solve_vector(self.left_mult_matrix(u), self.unit)
-        if x is None:
-            return None
-        if self.multiply(x, u) != self.unit:
-            return None
-        return tuple(x)
 
     # -- constructors ------------------------------------------------------
 
@@ -921,121 +911,58 @@ def ext_dims_via_hom_complex(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CocycleTable:
-    """A weak action of Q on A together with normalized 2-cocycle values.
+def _action_violations(
+    Q: FiniteGroupTable, A: AlgebraPresentation, action: Sequence[RationalMatrix]
+) -> List[str]:
+    """What keeps q -> action[q] from being a homomorphism Q -> Aut(A).
 
-    ``action[q]`` is the matrix of an algebra automorphism; ``values[(q, q')]``
-    is an invertible algebra element as a coefficient vector.  Validation
-    checks normalization, the automorphism property, the twisted-module
-    condition sigma_q sigma_q' = Ad(t(q,q')) sigma_qq', and the cocycle
-    identity sigma_q(t(q',q'')) t(q, q'q'') = t(q,q') t(qq', q'').
+    Each matrix must be a unital algebra automorphism, the identity must act
+    trivially, and action[q1] action[q2] = action[q1 q2] for every pair.
     """
-
-    group: FiniteGroupTable
-    algebra: AlgebraPresentation
-    action: tuple  # RationalMatrix per group element
-    values: dict  # (q, q') -> coefficient tuple
-
-    @classmethod
-    def trivial_cocycle(
-        cls,
-        Q: FiniteGroupTable,
-        A: AlgebraPresentation,
-        action: Sequence[RationalMatrix],
-    ) -> "CocycleTable":
-        values = {
-            (q1, q2): tuple(A.unit) for q1 in range(Q.order) for q2 in range(Q.order)
-        }
-        return cls(group=Q, algebra=A, action=tuple(action), values=values)
-
-    def value(self, q1: int, q2: int) -> tuple:
-        """t(q1, q2) as a tuple of canonical scalars."""
-        return tuple(canonical(x) for x in self.values[(q1, q2)])
-
-    def apply(self, q: int, u: Sequence) -> tuple:
-        return self.action[q].apply(u)
-
-    def violations(self) -> List[str]:
-        Q, A = self.group, self.algebra
-        out = []
-        ident = Q.identity
-        unit = A.unit
-        if len(self.action) != Q.order:
-            return [f"need {Q.order} action matrices, got {len(self.action)}"]
-        for q in range(Q.order):
-            sigma = self.action[q]
-            if sigma.shape != (A.dim, A.dim):
-                out.append(f"action[{q}] has shape {sigma.shape}")
-                continue
-            if sigma.det() == 0:
-                out.append(f"action[{q}] is singular")
-                continue
-            if tuple(sigma.apply(unit)) != unit:
-                out.append(f"action[{q}] does not fix the unit")
-            for i in range(A.dim):
-                for j in range(A.dim):
-                    lhs = self.apply(q, A.products[i][j])
-                    rhs = A.multiply(
-                        self.apply(q, A.basis_vector(i)), self.apply(q, A.basis_vector(j))
-                    )
-                    if tuple(lhs) != tuple(rhs):
-                        out.append(f"action[{q}] not multiplicative at ({i},{j})")
-                        break
-                else:
-                    continue
-                break
-        if self.action[ident] != RationalMatrix.identity(A.dim):
-            out.append("identity element must act as the identity automorphism")
-        for q in range(Q.order):
-            if tuple(self.value(ident, q)) != unit:
-                out.append(f"normalization t(1,{q}) != 1")
-            if tuple(self.value(q, ident)) != unit:
-                out.append(f"normalization t({q},1) != 1")
-        inverses = {}
-        for (q1, q2) in self.values:
-            inv = inverses[(q1, q2)] = A.inverse(self.value(q1, q2))
-            if inv is None:
-                out.append(f"t({q1},{q2}) is not invertible")
-        if out:
-            return out
-        for q1 in range(Q.order):
-            for q2 in range(Q.order):
-                t12 = self.value(q1, q2)
-                t12_inv = inverses[(q1, q2)]
-                comp = self.action[q1] @ self.action[q2]
-                twisted = (
-                    A.left_mult_matrix(t12)
-                    @ self.action[Q.mul(q1, q2)]
-                    @ A.right_mult_matrix(t12_inv)
-                )
-                if comp != twisted:
-                    out.append(f"twisted-module condition fails at ({q1},{q2})")
-        for q1 in range(Q.order):
-            for q2 in range(Q.order):
-                for q3 in range(Q.order):
-                    lhs = A.multiply(
-                        self.apply(q1, self.value(q2, q3)),
-                        self.value(q1, Q.mul(q2, q3)),
-                    )
-                    rhs = A.multiply(self.value(q1, q2), self.value(Q.mul(q1, q2), q3))
-                    if tuple(lhs) != tuple(rhs):
-                        out.append(f"cocycle identity fails at ({q1},{q2},{q3})")
+    if len(action) != Q.order:
+        return [f"need {Q.order} action matrices, got {len(action)}"]
+    out = []
+    for q, sigma in enumerate(action):
+        if sigma.shape != (A.dim, A.dim):
+            out.append(f"action[{q}] has shape {sigma.shape}")
+            continue
+        if sigma.det() == 0:
+            out.append(f"action[{q}] is singular")
+            continue
+        if sigma.apply(A.unit) != A.unit:
+            out.append(f"action[{q}] does not fix the unit")
+        images = [sigma.apply(A.basis_vector(i)) for i in range(A.dim)]
+        bad = [
+            f"({i},{j})"
+            for i in range(A.dim)
+            for j in range(A.dim)
+            if sigma.apply(A.products[i][j]) != A.multiply(images[i], images[j])
+        ]
+        if bad:
+            out.append(f"action[{q}] not multiplicative at {bad[0]}")
+    if action[Q.identity] != RationalMatrix.identity(A.dim):
+        out.append("identity element must act as the identity automorphism")
+    if out:
         return out
+    for q1 in range(Q.order):
+        for q2 in range(Q.order):
+            if action[q1] @ action[q2] != action[Q.mul(q1, q2)]:
+                out.append(f"action is not a homomorphism at ({q1},{q2})")
+    return out
 
 
 @dataclass(frozen=True)
 class CrossedProductAlgebra:
-    """A (x) E[Q] with multiplication (a#q)(b#q') = a sigma_q(b) t(q,q') # qq'.
+    """A (x) E[Q] with multiplication (a#q)(b#q') = a sigma_q(b) # qq'.
 
     Basis index q * dim(A) + i stands for b_i # q; the blocks realize the
-    strong Q-grading.
+    strong Q-grading.  ``action[q]`` is the matrix of sigma_q.
     """
 
     algebra: AlgebraPresentation
     base: AlgebraPresentation
     group: FiniteGroupTable
-    cocycle: CocycleTable
+    action: tuple
 
     def basis_index(self, i: int, q: int) -> int:
         return q * self.base.dim + i
@@ -1057,16 +984,14 @@ def crossed_product(
 ) -> CrossedProductAlgebra:
     """Build the crossed product of A by Q, the skew group algebra A # Q.
 
-    The cocycle is trivial: Q acts on A through ``action`` only.
-
-    Cocycle and weak-action conditions are validated first and reported with
-    the offending tuple; associativity of the product algebra is re-validated
-    from scratch by the AlgebraPresentation constructor.
+    Q acts on A through ``action``, and the cocycle is trivial.  The action
+    is validated first and reported with the offending element or pair;
+    associativity of the product algebra is re-validated in full by the
+    AlgebraPresentation constructor.
     """
-    cocycle = CocycleTable.trivial_cocycle(Q, A, action)
-    bad = cocycle.violations()
+    bad = _action_violations(Q, A, action)
     if bad:
-        raise ValueError("invalid cocycle data: " + "; ".join(bad))
+        raise ValueError("invalid action: " + "; ".join(bad))
     da = A.dim
     dim = da * Q.order
     products = [[None] * dim for _ in range(dim)]
@@ -1074,11 +999,8 @@ def crossed_product(
         for i in range(da):
             for q2 in range(Q.order):
                 for j in range(da):
-                    # (b_i # q1)(b_j # q2) = b_i sigma_q1(b_j) t(q1,q2) # q1q2
-                    a = A.multiply(
-                        A.basis_vector(i),
-                        A.multiply(cocycle.apply(q1, A.basis_vector(j)), cocycle.value(q1, q2)),
-                    )
+                    # (b_i # q1)(b_j # q2) = b_i sigma_q1(b_j) # q1q2
+                    a = A.multiply(A.basis_vector(i), action[q1].apply(A.basis_vector(j)))
                     entry = [0] * dim
                     q3 = Q.mul(q1, q2)
                     for k, c in enumerate(a):
@@ -1092,7 +1014,7 @@ def crossed_product(
     if A.labels:
         labels = [f"{A.labels[i]}#g{q}" for q in range(Q.order) for i in range(da)]
     cp_alg = AlgebraPresentation(products, unit, labels=labels)
-    return CrossedProductAlgebra(algebra=cp_alg, base=A, group=Q, cocycle=cocycle)
+    return CrossedProductAlgebra(algebra=cp_alg, base=A, group=Q, action=tuple(action))
 
 
 def crossed_module(
@@ -1119,81 +1041,83 @@ def crossed_module(
 # ---------------------------------------------------------------------------
 
 
-def _semilinear_basis(
-    A: AlgebraPresentation, tau: RationalMatrix, r_src: int, r_tgt: int
-) -> List[RationalMatrix]:
-    """Basis of tau-semilinear maps A**r_src -> A**r_tgt.
+def koszul_cochain_complex(N: ModulePresentation, rank: int, top: int) -> ChainComplex:
+    """Hom_A(K, N) through cochain degree ``top``, for A = exterior_algebra(rank).
 
-    A map with f(a x) = tau(a) f(x) is fixed by the images of the free
-    generators; the basis element for (target slot t, source slot u,
-    algebra basis w) has block (t, u) equal to R_{b_w} tau.
+    K = A (x) Gamma(V) is the Koszul resolution of E over A = Lambda(V)
+    (Priddy, Trans. AMS 152, 1970), so the cohomology is Ext_A(E, N).
+    Cochain degree n (stored at chain degree -n) is S**n(V*) (x) N,
+    monomial-major, with the degree-n monomials in the order of
+    ``combinations_with_replacement``.  The differential is
+    d = sum_i xi_i (x) x_i (Bernstein-Gel'fand-Gel'fand, 1978): xi_i
+    multiplies the monomial and x_i, basis element 1 + i of A, acts on N.
     """
-    da = A.dim
-    blocks = [A.right_mult_matrix(A.basis_vector(w)) @ tau for w in range(da)]
-    return [
-        RationalMatrix.from_blocks(r_tgt * da, r_src * da, [(t * da, u * da, block)])
-        for t in range(r_tgt)
-        for u in range(r_src)
-        for block in blocks
-    ]
-
-
-def _lift_semilinear_chain_map(
-    res: FreeResolution,
-    tau: RationalMatrix,
-    top_degree: int,
-) -> List[RationalMatrix]:
-    """A tau-semilinear chain self-map of the resolution lifting identity.
-
-    Degree 0 satisfies aug o f_0 = aug; higher degrees satisfy
-    d_n o f_n = f_{n-1} o d_n.  Existence is projectivity plus exactness;
-    a failed solve raises, since it would falsify one of those.
-    """
-    A = res.algebra
-    lifts = []
-    for n in range(top_degree + 1):
-        rn = res.ranks[n] if n < len(res.ranks) else 0
-        basis = _semilinear_basis(A, tau, rn, rn)
-        if n == 0:
-            lhs = res.augmentation
-            rhs = res.augmentation
-        else:
-            d = res.complex.diff(n)
-            lhs = d
-            rhs = lifts[n - 1] @ d
-        sol = solve_in_subspace(lhs, rhs, basis)
-        if sol is None:
-            raise CertificateError(f"semilinear lift failed at degree {n}")
-        lifts.append(sol)
-    return lifts
-
-
-def _cochain_vector_to_hom_matrix(
-    phi: Sequence, res: FreeResolution, N: ModulePresentation, n: int
-) -> RationalMatrix:
-    """Tuple (phi_t) in N**r_n as the full matrix of the A-linear map."""
-    da = res.algebra.dim
-    rn = res.ranks[n]
     nd = N.dim
-    cols = []
-    for t in range(rn):
-        target = tuple(phi[t * nd : (t + 1) * nd])
-        for k in range(da):
-            cols.append(N.actions[k].apply(target))
-    return RationalMatrix.from_columns(cols, nrows=nd)
+    prev = [()]
+    dims = {0: nd}
+    diffs = {}
+    for n in range(1, top + 1):
+        monos = list(combinations_with_replacement(range(rank), n))
+        index = {m: k for k, m in enumerate(monos)}
+        blocks = [
+            (index[tuple(sorted(m + (i,)))] * nd, k * nd, N.actions[1 + i])
+            for k, m in enumerate(prev)
+            for i in range(rank)
+        ]
+        dims[-n] = nd * len(monos)
+        diffs[-(n - 1)] = RationalMatrix.from_blocks(dims[-n], dims[-(n - 1)], blocks)
+        prev = monos
+    return ChainComplex(dims, diffs, presentation="cochain")
 
 
-def _hom_matrix_to_cochain_vector(
-    H: RationalMatrix, res: FreeResolution, N: ModulePresentation, n: int
-) -> tuple:
-    da = res.algebra.dim
-    rn = res.ranks[n]
-    unit = res.algebra.unit
+def _symmetric_powers(T: RationalMatrix, top: int) -> List[RationalMatrix]:
+    """Sym**n(T) on S**n(V*) for n = 0..top, in the monomial order above.
+
+    T acts on the variables by xi_i -> sum_j T_ij xi_j and on a monomial as
+    the product of the images of its factors.
+    """
+    rank = T.nrows
+    images: Dict[tuple, dict] = {(): {(): 1}}
     out = []
-    for t in range(rn):
-        block = H.submatrix(range(N.dim), range(t * da, (t + 1) * da))
-        out.extend(block.apply(unit))
-    return tuple(out)
+    for n in range(top + 1):
+        monos = list(combinations_with_replacement(range(rank), n))
+        if n:
+            prev, images = images, {}
+            for m in monos:
+                image = images[m] = {}
+                for mono, c in prev[m[:-1]].items():
+                    for j, t in enumerate(T.row(m[-1])):
+                        key = tuple(sorted(mono + (j,)))
+                        image[key] = image.get(key, 0) + c * t
+        cols = [[images[m].get(mono, 0) for mono in monos] for m in monos]
+        out.append(RationalMatrix.from_columns(cols, nrows=len(monos)))
+    return out
+
+
+def _koszul_side(
+    cp: CrossedProductAlgebra, M_B: ModulePresentation, top: int
+) -> Tuple[ChainComplex, Dict[int, List[RationalMatrix]]]:
+    """M_B over the exterior base A: its Koszul cochain complex through
+    degree ``top``, and the operator of each generator q of Q on every degree.
+
+    The operator of q on degree n is Sym**n(sigma_q**(-1) on V) tensored
+    with U_q, the action of 1 # q on M.  V, the span of the generators of
+    A, sits at basis indices 1..rank; each sigma_q must map it into itself.
+    """
+    A, Q = cp.base, cp.group
+    rank = A.dim.bit_length() - 1
+    V = range(1, rank + 1)
+    off_V = [k for k in range(A.dim) if k not in V]
+    operators = {}
+    for q in Q.generators():
+        sigma_inv = cp.action[Q.inv(q)]
+        if not sigma_inv.submatrix(off_V, V).is_zero():
+            raise ValueError(f"the action of {q} does not preserve the span of the generators")
+        # 1 # q acts by U_q, and 1 is basis element 0 of an exterior algebra
+        U = M_B.actions[cp.basis_index(0, q)]
+        operators[q] = [S.kron(U) for S in _symmetric_powers(sigma_inv.submatrix(V, V), top)]
+    N = ModulePresentation(A, [M_B.actions[cp.basis_index(i, Q.identity)] for i in range(A.dim)])
+    return koszul_cochain_complex(N, rank, top), operators
 
 
 @dataclass(frozen=True)
@@ -1212,69 +1136,43 @@ class CrossedCompareReport:
         }
 
 
-@dataclass(frozen=True)
-class _RestrictedModule:
-    """A crossed-product module seen over the base algebra A.
-
-    ``N`` is the A-module, ``U`` holds the operators U_q, one per group
-    element, and ``cochain`` is Hom_A(res, N) for the resolution ``res`` of
-    E over A.
-    """
-
-    N: ModulePresentation
-    U: tuple
-    res: FreeResolution
-    cochain: ChainComplex
-
-
-def _restrict_to_base(
-    cp: CrossedProductAlgebra, M_B: ModulePresentation, res: FreeResolution, top: int
-) -> _RestrictedModule:
-    """Restrict M_B to A and build Hom_A(res, N) through cochain degree ``top``."""
-    A = cp.base
-    Q = cp.group
-    N_actions = [M_B.actions[cp.basis_index(i, Q.identity)] for i in range(A.dim)]
-    N = ModulePresentation(A, N_actions)
-    # U_q as stored includes rho(b_unit); with a one-slot unit that IS U_q.
-    unit = _unit_slot(A)
-    U = tuple(M_B.actions[cp.basis_index(unit, q)] for q in range(Q.order))
-    return _RestrictedModule(N=N, U=U, res=res, cochain=_hom_cochain_complex(res, N, top))
-
-
 def ext_action_matrices(
-    restricted: _RestrictedModule,
-    lifts: Dict[int, List[RationalMatrix]],
+    cochain: ChainComplex,
+    operators: Dict[int, List[RationalMatrix]],
     n: int,
 ) -> Tuple[List[RationalMatrix], int]:
-    """The action of Q's generators on Ext_A**n(E, M) in a representative basis.
+    """The action of Q's generators on the degree-n cohomology of ``cochain``.
 
-    ``restricted`` is M over A with its Hom complex through degree n + 1 or
-    beyond, and ``lifts`` maps each generator q of Q to f_q, a
-    sigma_q**(-1)-semilinear chain lift of the identity of the same
-    resolution, through degree n or beyond.  The action of q sends a class
-    [phi] to [U_q o phi o f_q].
+    ``cochain`` is a cochain-presented complex through degree n + 1 or
+    beyond, and ``operators[q]`` lists the cochain-level operator of the
+    generator q on each degree through n + 1.  Each operator must commute
+    with the differentials into and out of degree n; ``CertificateError``
+    is raised otherwise.  A class [phi] goes to [operators[q][n] phi],
+    written in the basis of homology representatives.
 
-    Returns (one matrix per generator, in the order of ``lifts``, and the
-    homology dimension).  The generators determine the whole action, so the
-    joint fixed space of these matrices is the space of Q-invariants.
+    Returns (one matrix per generator, in the order of ``operators``, and
+    the cohomology dimension).  The generators determine the whole action,
+    so the joint fixed space of these matrices is the space of Q-invariants.
     """
-    N, res, cochain = restricted.N, restricted.res, restricted.cochain
+    for k in range(max(n - 1, 0), n + 1):
+        d = cochain.diff(-k)
+        for q, ops in operators.items():
+            if d @ ops[k] != ops[k + 1] @ d:
+                raise CertificateError(
+                    f"the operator of q={q} does not commute with d at degree {k}"
+                )
     record = homology(cochain, -n)
     reps = list(record.representatives)
     h = record.dim
     if h == 0:
-        return [RationalMatrix.zeros(0, 0) for _ in lifts], 0
+        return [RationalMatrix.zeros(0, 0) for _ in operators], 0
     _, _, cob_image = rank_kernel_image(cochain.diff(-(n - 1))) if n >= 1 else (0, [], [])
     # representatives and coboundaries are independent, so every moved
     # class has unique coordinates; the first h are its class
     span = RationalMatrix.from_columns(reps + cob_image, nrows=cochain.dim(-n))
-    homs = [_cochain_vector_to_hom_matrix(rep, res, N, n) for rep in reps]
     mats = []
-    for q, lift in lifts.items():
-        f = lift[n]
-        moved = [
-            _hom_matrix_to_cochain_vector(restricted.U[q] @ H @ f, res, N, n) for H in homs
-        ]
+    for q, ops in operators.items():
+        moved = [ops[n].apply(rep) for rep in reps]
         sol = solve_matrix(span, RationalMatrix.from_columns(moved, nrows=span.nrows))
         if sol is None:
             raise CertificateError(
@@ -1282,13 +1180,6 @@ def ext_action_matrices(
             )
         mats.append(sol.submatrix(range(h), range(h)))
     return mats, h
-
-
-def _unit_slot(A: AlgebraPresentation) -> int:
-    slots = [k for k, c in enumerate(A.unit) if c]
-    if len(slots) != 1 or A.unit[slots[0]] != 1:
-        raise ValueError("algebra unit is not a single basis element")
-    return slots[0]
 
 
 def crossed_ext_compare(
@@ -1299,38 +1190,40 @@ def crossed_ext_compare(
 ) -> List[CrossedCompareReport]:
     """Certify dim Ext_B**n(E, M) = dim (Ext_A**n(E, M))**Q for n <= n_max.
 
-    Returns one report per module M in ``modules``.  The left side
-    resolves the one-dimensional module extending eps_A over the whole
-    crossed product B; the right side computes the action of Q on Ext over
-    A through semilinear chain lifts and takes joint invariants.
+    Returns one report per module M in ``modules``.  The base A must be
+    ``exterior_algebra(rank)`` and ``eps_A`` its augmentation, and each
+    sigma_q must map the span V of the generators into itself.  The two
+    sides are independent routes: the left side resolves the
+    one-dimensional module E over the whole crossed product B = A # Q by
+    ``free_resolution``; the right side reads Ext over A off the Koszul
+    complex S(V*) (x) M, on which q acts by Sym(sigma_q**(-1) on V) (x) U_q,
+    that is p -> p o q**(-1) on polynomials, and takes joint invariants.
 
-    The module-independent work is done once per call: E is resolved once
-    over B and once over A, and each generator of Q is lifted once, through
-    n_max, so ``ext_action_matrices`` gives one matrix per generator.  For
-    each module the restriction to A and its Hom complex are built once,
-    through degree n_max + 1, and every degree is read from them.
+    E is resolved once per call, over B.  For each module the Koszul
+    complex and its operators are built once, through degree n_max + 1,
+    and every degree is read from them.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     A = cp.base
     Q = cp.group
+    rank = A.dim.bit_length() - 1
+    exterior = AlgebraPresentation.exterior_algebra(rank)
+    if A.products != exterior.products or A.unit != exterior.unit:
+        raise ValueError("the base algebra is not an exterior algebra")
+    if tuple(eps_A) != exterior.augmentation_values():
+        raise ValueError("eps_A is not the augmentation of the exterior algebra")
     eps_B = [Fraction(eps_A[i]) for _ in range(Q.order) for i in range(A.dim)]
     E_B = ModulePresentation.one_dimensional(cp.algebra, eps_B)
     res_B = free_resolution(cp.algebra, E_B, n_max + 1)
-    E_A = ModulePresentation.one_dimensional(A, eps_A)
-    res_A = free_resolution(A, E_A, n_max + 1)
-    lifts = {
-        q: _lift_semilinear_chain_map(res_A, cp.cocycle.action[Q.inv(q)], n_max)
-        for q in Q.generators()
-    }
     reports = []
     for M_B in modules:
         lhs = ext_dims(cp.algebra, E_B, M_B, n_max, res=res_B)
-        restricted = _restrict_to_base(cp, M_B, res_A, n_max + 1)
+        cochain, operators = _koszul_side(cp, M_B, n_max + 1)
         base_dims = []
         inv_dims = []
         for n in range(n_max + 1):
-            mats, h = ext_action_matrices(restricted, lifts, n)
+            mats, h = ext_action_matrices(cochain, operators, n)
             base_dims.append(h)
             # with no generators (trivial Q) every class is invariant
             inv_dims.append(len(invariants(mats)) if h and mats else h)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import dense_oracle as dense
 from wallforge import linalg as sparse
-from wallforge.groupalg import AlgebraPresentation, CocycleTable, FiniteGroupTable
+from wallforge.groupalg import AlgebraPresentation, FiniteGroupTable, crossed_product
 from wallforge.lie import LieAlgebra, LieModule, ce_complex
 
 ENTRY = st.one_of(
@@ -219,9 +219,10 @@ def test_builders_store_canonical_scalars():
     assert all(type(x) is int for row in B.products for e in row for x in e)
     prod = B.multiply([Fraction(1, 2), 0, 0], [2, Fraction(4, 2), 0])
     assert prod == (1, 1, 0) and all(type(x) is int for x in prod)
-    action = [sparse.RationalMatrix.identity(3)] * 3
-    t = CocycleTable.trivial_cocycle(Q, B, action)
-    assert t.value(0, 1) == (1, 0, 0) and all(type(x) is int for x in t.value(0, 1))
+    # the crossed product's structure constants come out canonical too
+    cp = crossed_product(B, Q, [sparse.RationalMatrix.identity(3)] * 3)
+    assert all(type(x) is int for row in cp.algebra.products for e in row for x in e)
+    assert all(type(x) is int for x in cp.algebra.unit)
     # sl2 with h halved: [h, e] = e and [e, f] = 2h, entered as Fractions
     g = LieAlgebra(
         3,

@@ -14,13 +14,19 @@ from wallforge.cli_groupalg import (
     _ext_group_action,
     _ext_module_data,
     _exterior_extension,
+    default_ext_labels,
 )
+from wallforge.complexes import CertificateError
 from wallforge.groupalg import (
     AlgebraPresentation,
     FiniteGroupTable,
+    ModulePresentation,
     crossed_ext_compare,
     crossed_module,
     crossed_product,
+    ext_action_matrices,
+    ext_dims,
+    invariants,
 )
 from wallforge.linalg import RationalMatrix
 
@@ -135,14 +141,125 @@ def _counting(monkeypatch, name):
 def test_resolutions_and_lifts_are_built_once_per_job(
     monkeypatch, capsys, tmp_path, group, rank, label_sets
 ):
+    """One resolution of E over B per job, and one Koszul complex, with the
+    symmetric powers of each generator's action, per module."""
     Q, _ = _ext_group_action(group, rank)
     generators = Q.generators()
     assert Q.identity not in generators
     for labels in label_sets:
         resolutions = _counting(monkeypatch, "free_resolution")
-        lifts = _counting(monkeypatch, "_lift_semilinear_chain_map")
+        koszul = _counting(monkeypatch, "koszul_cochain_complex")
+        powers = _counting(monkeypatch, "_symmetric_powers")
         dump = _ext_crossed(capsys, tmp_path, rank, group, labels, n_max=3)
         assert [rep["module"] for rep in dump["reports"]] == labels
-        assert len(resolutions) == 2, labels  # E over B and E over A
-        assert len(lifts) == len(generators), labels
+        assert len(resolutions) == 1, labels  # E over B
+        assert len(koszul) == len(labels), labels
+        assert len(powers) == len(generators) * len(labels), labels
         monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# the Koszul side alone: cheap enough for every configured action
+# ---------------------------------------------------------------------------
+
+
+def _koszul_dims(cp, M, n_max):
+    """base_ext_dims and invariant_dims as ``crossed_ext_compare`` reads them."""
+    cochain, operators = groupalg._koszul_side(cp, M, n_max + 1)
+    base, inv = [], []
+    for n in range(n_max + 1):
+        mats, h = ext_action_matrices(cochain, operators, n)
+        base.append(h)
+        inv.append(len(invariants(mats)) if h and mats else h)
+    return base, inv
+
+
+@pytest.mark.parametrize("group,rank", list(_EXT_ACTIONS))
+def test_base_ext_dims_match_a_free_resolution_over_the_base(group, rank):
+    cp, gen_mats, A = _setup(group, rank)
+    E_A = ModulePresentation.one_dimensional(A, A.augmentation_values())
+    for label in default_ext_labels(group, rank):
+        base_actions, ops = _ext_module_data(rank, gen_mats, label, A.dim)
+        M = crossed_module(cp, base_actions, ops)
+        N = ModulePresentation(A, base_actions)
+        assert _koszul_dims(cp, M, 6)[0] == ext_dims(A, E_A, N, 6), label
+
+
+@pytest.mark.parametrize("group,rank", list(_EXT_ACTIONS))
+def test_koszul_invariants_match_the_molien_series(group, rank):
+    """Every configured action through degree 6, S3 on the plane included."""
+    cp, gen_mats, A = _setup(group, rank)
+    G = matrix_group(list(_EXT_ACTIONS[(group, rank)].values()))
+    checked = 0
+    for label in default_ext_labels(group, rank):
+        character = _E_TRIVIAL.get(label)
+        if character is None:
+            continue  # the nilpotent module is not E-trivial
+        M = crossed_module(cp, *_ext_module_data(rank, gen_mats, label, A.dim))
+        assert _koszul_dims(cp, M, 6)[1] == molien_coefficients(G, character, 6), label
+        checked += 1
+    assert checked >= 1
+
+
+def _self_module(cp):
+    """A itself, with A acting by left multiplication and q by sigma_q."""
+    A = cp.base
+    left = [A.left_mult_matrix(A.basis_vector(i)) for i in range(A.dim)]
+    return crossed_module(cp, left, list(cp.action))
+
+
+@pytest.mark.parametrize("group,rank", [("Z2", 1), ("S3", 2)])
+def test_operators_commute_with_d_on_modules_where_d_is_not_zero(group, rank):
+    """On E-trivial modules d is zero and the check is vacuous.  Here it is
+    not: the rank-1 nilpotent module, and Lambda(V) itself over S3, where
+    sigma_r is not its own inverse, so p -> p o q would fail the check."""
+    cp, gen_mats, A = _setup(group, rank)
+    if rank == 1:
+        M = crossed_module(cp, *_ext_module_data(1, gen_mats, "nilpotent", A.dim))
+    else:
+        M = _self_module(cp)
+    cochain, operators = groupalg._koszul_side(cp, M, 4)
+    for n in range(4):
+        d = cochain.diff(-n)
+        assert not d.is_zero()
+        assert all(d @ ops[n] == ops[n + 1] @ d for ops in operators.values())
+    # both modules are injective over A: Ext is Hom, in degree 0 only
+    assert ext_action_matrices(cochain, operators, 1)[1] == 0
+    # the wrong sign on degree 2 breaks the square out of degree 1
+    wrong = {q: ops[:2] + [-op for op in ops[2:]] for q, ops in operators.items()}
+    with pytest.raises(CertificateError, match="does not commute with d at degree 1"):
+        ext_action_matrices(cochain, wrong, 1)
+
+
+def _sign_flip_of_x0_twisted_by_x0x1():
+    """Z2 on Lambda(x0, x1) by x0 -> x0 + 2 x0x1, x1 -> -x1: an action of
+    order 2 that does not map the span of x0, x1 into itself."""
+    sigma = RationalMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 2, 0, -1]], ncols=4)
+    A = AlgebraPresentation.exterior_algebra(2)
+    return crossed_product(A, FiniteGroupTable.cyclic(2), [RationalMatrix.identity(4), sigma])
+
+
+@pytest.mark.parametrize("case,message", [
+    ("group algebra base", "not an exterior algebra"),
+    ("other augmentation", "not the augmentation"),
+    ("ungraded action", "does not preserve the span"),
+])
+def test_the_closed_form_refuses_what_it_does_not_cover(case, message):
+    if case == "group algebra base":
+        Z2 = FiniteGroupTable.cyclic(2)
+        A = AlgebraPresentation.group_algebra(Z2)
+        cp = crossed_product(A, FiniteGroupTable.trivial(), [RationalMatrix.identity(2)])
+        eps = A.augmentation_values()
+    elif case == "other augmentation":
+        cp, _, A = _setup("Z2", 1)
+        eps = [1, 1]
+    else:
+        cp = _sign_flip_of_x0_twisted_by_x0x1()
+        eps = cp.base.augmentation_values()
+    trivial = crossed_module(
+        cp,
+        [RationalMatrix.diagonal([c]) for c in cp.base.augmentation_values()],
+        [RationalMatrix.identity(1)] * cp.group.order,
+    )
+    with pytest.raises(ValueError, match=message):
+        crossed_ext_compare(cp, [trivial], eps, 2)
