@@ -329,7 +329,6 @@ class AlgebraPresentation:
         products: Sequence[Sequence[Sequence]],
         unit: Sequence,
         labels: Optional[Sequence[str]] = None,
-        _skip_validation: bool = False,
     ):
         dim = len(products)
         prods = tuple(
@@ -354,8 +353,7 @@ class AlgebraPresentation:
             for row in prods
         )
         object.__setattr__(self, "_terms", terms)
-        if not _skip_validation:
-            self._validate()
+        self._validate()
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("AlgebraPresentation is immutable")
@@ -529,6 +527,11 @@ class AlgebraPresentation:
         return cls(products, unit)
 
 
+def _same_algebra(a: AlgebraPresentation, b: AlgebraPresentation) -> bool:
+    """Whether two presentations have the same structure constants and unit."""
+    return a is b or (a.dim == b.dim and a.unit == b.unit and a.products == b.products)
+
+
 class ModulePresentation:
     """A finite-dimensional left module by action matrices per basis element."""
 
@@ -538,7 +541,6 @@ class ModulePresentation:
         self,
         algebra: AlgebraPresentation,
         actions: Sequence[RationalMatrix],
-        _skip_validation: bool = False,
     ):
         if len(actions) != algebra.dim:
             raise ValueError(f"need {algebra.dim} action matrices")
@@ -549,8 +551,7 @@ class ModulePresentation:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "dim", mdim)
         object.__setattr__(self, "actions", tuple(actions))
-        if not _skip_validation:
-            self._validate()
+        self._validate()
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("ModulePresentation is immutable")
@@ -596,15 +597,13 @@ def module_direct_sum(modules: Sequence[ModulePresentation]) -> ModulePresentati
         raise ValueError("need at least one summand")
     A = modules[0].algebra
     for m in modules[1:]:
-        if m.algebra is not A and (
-            m.algebra.dim != A.dim or m.algebra.products != A.products
-        ):
+        if not _same_algebra(m.algebra, A):
             raise ValueError("summands live over different algebras")
     actions = [
         RationalMatrix.block_diag([m.actions[i] for m in modules])
         for i in range(A.dim)
     ]
-    return ModulePresentation(A, actions, _skip_validation=True)
+    return ModulePresentation(A, actions)
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +668,29 @@ def _free_action_matrices(left: Sequence[RationalMatrix], rank: int) -> List[Rat
     resolutions act slot by slot through ``_free_images`` instead.
     """
     return [RationalMatrix.block_diag([L] * rank) for L in left]
+
+
+def _free_source_hom_basis(
+    A: AlgebraPresentation,
+    rank: int,
+    tgt_actions: Sequence[RationalMatrix],
+    tgt_dim: int,
+) -> List[RationalMatrix]:
+    """Basis of the module maps A**rank -> N, one per (generator, N-basis) pair.
+
+    The map sending generator u to basis vector w of N is zero off the
+    generator's slots, and its column u * dim(A) + k there is b_k . w.
+    """
+    da = A.dim
+    blocks = [
+        RationalMatrix.from_columns([act.col(w) for act in tgt_actions], nrows=tgt_dim)
+        for w in range(tgt_dim)
+    ]
+    return [
+        RationalMatrix.from_blocks(tgt_dim, rank * da, [(0, u * da, block)])
+        for u in range(rank)
+        for block in blocks
+    ]
 
 
 def _free_images(left: Sequence[RationalMatrix], v: Sequence) -> List[tuple]:
@@ -885,22 +907,9 @@ def ext_dims_via_hom_complex(
     from wallforge.complexes import hom_constrained
 
     res = free_resolution(A, M, n_max + 1)
-    da = A.dim
-    hom_bases: Dict[int, List[RationalMatrix]] = {}
-    for n in range(len(res.ranks)):
-        rn = res.ranks[n]
-        basis = []
-        for u in range(rn):
-            for w in range(N.dim):
-                wvec = tuple(1 if i == w else 0 for i in range(N.dim))
-                grid = [[Fraction(0)] * (rn * da) for _ in range(N.dim)]
-                for k in range(da):
-                    col = N.actions[k].apply(wvec)
-                    for a, val in enumerate(col):
-                        if val:
-                            grid[a][u * da + k] = val
-                basis.append(RationalMatrix(grid, ncols=rn * da))
-        hom_bases[n] = basis
+    hom_bases = {
+        n: _free_source_hom_basis(A, rn, N.actions, N.dim) for n, rn in enumerate(res.ranks)
+    }
     cochain = hom_constrained(res.complex, hom_bases, N.dim)
     dims = cohomology_dims(cochain)
     return [dims.get(n, 0) for n in range(n_max + 1)]
@@ -1208,10 +1217,9 @@ def crossed_ext_compare(
     A = cp.base
     Q = cp.group
     rank = A.dim.bit_length() - 1
-    exterior = AlgebraPresentation.exterior_algebra(rank)
-    if A.products != exterior.products or A.unit != exterior.unit:
+    if not _same_algebra(A, AlgebraPresentation.exterior_algebra(rank)):
         raise ValueError("the base algebra is not an exterior algebra")
-    if tuple(eps_A) != exterior.augmentation_values():
+    if tuple(eps_A) != A.augmentation_values():
         raise ValueError("eps_A is not the augmentation of the exterior algebra")
     eps_B = [Fraction(eps_A[i]) for _ in range(Q.order) for i in range(A.dim)]
     E_B = ModulePresentation.one_dimensional(cp.algebra, eps_B)

@@ -6,11 +6,19 @@ connecting maps
 
     d(k): X[q, j] -> X[q - k, j + k - 1],    0 <= k <= q,
 
-one anti-diagonal at a time, so that for every spot the alternating
-composites sum to zero, the summed total differential squares to zero,
-and the total complex has the same homology as the base complex.  All
-arithmetic is exact and every claimed identity can be re-checked from
-the stored matrices alone.
+one anti-diagonal at a time, so that for every spot the composites
+sum_h d(k - h) d(h) vanish, the summed total differential squares to
+zero, and the total complex has the same homology as the base complex.
+All arithmetic is exact and every claimed identity can be re-checked
+from the stored matrices alone.
+
+The base complex is row j = -1 of the same bicomplex: X[q, -1] is the
+degree-q base module, d(0) out of X[q, 0] is the column's augmentation,
+and d(1) out of X[q, -1] is minus the base differential.  With that sign
+the augmentation squares are the (j = 0, k = 1) case of the identities,
+so one lift loop builds every connecting map and one identity loop
+re-checks them, the base's own d o d included.  The total complex sums
+only the spots with j >= 0.
 
 Column lengths need to leave room for the maps to land: the receiving
 column q - k must extend to degree j + k - 1 whenever X[q, j] is
@@ -38,14 +46,15 @@ from wallforge.groupalg import (
     FreeResolution,
     ModulePresentation,
     _free_action_matrices,
+    _free_source_hom_basis,
     _left_mult_matrices,
+    _same_algebra,
     ext_dims,
 )
 from wallforge.linalg import (
     RationalMatrix,
     rank_kernel_image,
     solve_in_subspace,
-    solve_matrix,
     unvec,
 )
 
@@ -64,7 +73,7 @@ class WallColumn:
     only modules, e.g. the top of a canonical truncation), ``actions[j]``
     the action matrices of the algebra basis, ``diffs[j-1]`` the column
     map into degree j-1, and ``augmentation`` the map from degree 0 onto
-    the resolved module.
+    the resolved module.  ``WallAssembly.map`` reads them as d(0).
     """
 
     dims: tuple
@@ -80,22 +89,9 @@ class WallColumn:
     def dim(self, j: int) -> int:
         return self.dims[j] if 0 <= j <= self.length else 0
 
-    def diff(self, j: int) -> RationalMatrix:
-        if 1 <= j <= self.length:
-            return self.diffs[j - 1]
-        return RationalMatrix.zeros(self.dim(j - 1), self.dim(j))
-
     def complex(self) -> ChainComplex:
         dims = {j: d for j, d in enumerate(self.dims)}
         diffs = {j: self.diffs[j - 1] for j in range(1, self.length + 1)}
-        return ChainComplex(dims, diffs)
-
-    def augmented_complex(self, module_dim: int) -> ChainComplex:
-        dims = {j: d for j, d in enumerate(self.dims)}
-        diffs = {j: self.diffs[j - 1] for j in range(1, self.length + 1)}
-        if module_dim:
-            dims[-1] = module_dim
-            diffs[0] = self.augmentation
         return ChainComplex(dims, diffs)
 
     def to_json(self) -> dict:
@@ -126,9 +122,10 @@ class WallColumn:
 class WallAssembly:
     """A completed assembly: base data, columns, and the connecting maps.
 
-    ``connecting[(k, q, j)]`` holds d(k) out of X[q, j] for k >= 1; the
-    k = 0 maps are the column differentials.  ``map`` zero-fills anything
-    out of range so bookkeeping loops stay uniform.
+    ``connecting[(k, q, j)]`` holds d(k) out of X[q, j] for k >= 1 and
+    j >= 0.  The k = 0 maps are the column differentials and
+    augmentations, and row j = -1 holds the base complex.  ``map``
+    zero-fills anything out of range so bookkeeping loops stay uniform.
     """
 
     __slots__ = ("algebra", "base_modules", "base_maps", "columns", "connecting")
@@ -162,24 +159,27 @@ class WallAssembly:
         return self.columns[q]
 
     def spot_dim(self, q: int, j: int) -> int:
+        """dim X[q, j]; row j = -1 is the degree-q base module."""
         if q < 0 or q > self.q_max:
             return 0
+        if j == -1:
+            return self.base_modules[q].dim
         return self.columns[q].dim(j)
 
-    def base_map(self, q: int) -> RationalMatrix:
-        """The degree-q differential of the base complex."""
-        if 1 <= q <= self.q_max:
-            return self.base_maps[q - 1]
-        tgt = self.base_modules[q - 1].dim if 0 <= q - 1 <= self.q_max else 0
-        src = self.base_modules[q].dim if 0 <= q <= self.q_max else 0
-        return RationalMatrix.zeros(tgt, src)
-
     def map(self, k: int, q: int, j: int) -> RationalMatrix:
-        """d(k) out of X[q, j]; zero-shaped when absent or out of range."""
-        if k == 0:
-            if 0 <= q <= self.q_max:
-                return self.columns[q].diff(j)
-            return RationalMatrix.zeros(0, 0)
+        """d(k) out of X[q, j]; zero-shaped when absent or out of range.
+
+        d(0) out of X[q, j] is the column differential for j >= 1 and the
+        augmentation onto the base module for j = 0.  d(1) out of X[q, -1]
+        is minus the base differential, the sign that makes the
+        augmentation square aug d(1) = del aug one more identity.
+        """
+        if 0 <= q <= self.q_max:
+            if k == 0 and 0 <= j <= self.columns[q].length:
+                col = self.columns[q]
+                return col.diffs[j - 1] if j else col.augmentation
+            if k == 1 and j == -1 and q >= 1:
+                return -self.base_maps[q - 1]
         M = self.connecting.get((k, q, j))
         if M is not None:
             return M
@@ -234,27 +234,6 @@ def wall_from_json(data: dict) -> WallAssembly:
 # ---------------------------------------------------------------------------
 
 
-def _free_source_hom_basis(
-    A: AlgebraPresentation,
-    rank: int,
-    tgt_actions: Sequence[RationalMatrix],
-    tgt_dim: int,
-) -> List[RationalMatrix]:
-    """Basis of the module maps A**rank -> N, one per (generator, N-basis) pair."""
-    da = A.dim
-    # the map sending generator u to basis vector w, on the generator's slots:
-    # column k is b_k . w
-    blocks = [
-        RationalMatrix.from_columns([act.col(w) for act in tgt_actions], nrows=tgt_dim)
-        for w in range(tgt_dim)
-    ]
-    return [
-        RationalMatrix.from_blocks(tgt_dim, rank * da, [(0, u * da, block)])
-        for u in range(rank)
-        for block in blocks
-    ]
-
-
 def module_hom_basis(
     A: AlgebraPresentation,
     src_actions: Sequence[RationalMatrix],
@@ -286,26 +265,22 @@ def _hom_basis_between(
     A: AlgebraPresentation,
     src_col: WallColumn,
     js: int,
-    tgt_col: WallColumn,
-    jt: int,
+    tgt_actions: Sequence[RationalMatrix],
+    tgt_dim: int,
 ) -> List[RationalMatrix]:
+    """Basis of the module maps from degree js of a column into a module."""
     sdim = src_col.dim(js)
-    tdim = tgt_col.dim(jt)
-    if sdim == 0 or tdim == 0:
+    if sdim == 0 or tgt_dim == 0:
         return []
     rank = src_col.free_ranks[js]
     if rank is not None:
-        return _free_source_hom_basis(A, rank, tgt_col.actions[jt], tdim)
-    return module_hom_basis(A, src_col.actions[js], sdim, tgt_col.actions[jt], tdim)
+        return _free_source_hom_basis(A, rank, tgt_actions, tgt_dim)
+    return module_hom_basis(A, src_col.actions[js], sdim, tgt_actions, tgt_dim)
 
 
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
-
-
-def _same_algebra(a: AlgebraPresentation, b: AlgebraPresentation) -> bool:
-    return a is b or (a.dim == b.dim and a.unit == b.unit and a.products == b.products)
 
 
 def _validate_base(
@@ -336,14 +311,13 @@ def _validate_base(
             raise ValueError(f"base maps do not compose to zero at degree {q}")
 
 
-def _validate_columns(
-    algebra: AlgebraPresentation,
-    base_modules: Sequence[ModulePresentation],
-    columns: Sequence[WallColumn],
-) -> None:
-    for q, (mod, col) in enumerate(zip(base_modules, columns)):
-        if col.augmentation.shape != (mod.dim, col.dim(0)):
-            raise ValueError(f"column {q} augmentation has shape {col.augmentation.shape}")
+def _validate_columns(W: WallAssembly) -> None:
+    """Shapes, module-linearity of every d(0) out of a column, and exactness.
+
+    Row j = -1 supplies the actions on the target of each augmentation.
+    """
+    algebra = W.algebra
+    for q, col in enumerate(W.columns):
         for j in range(col.length + 1):
             acts = col.actions[j]
             if len(acts) != algebra.dim:
@@ -354,19 +328,18 @@ def _validate_columns(
             rank = col.free_ranks[j]
             if rank is not None and rank * algebra.dim != col.dim(j):
                 raise ValueError(f"column {q} degree {j} rank disagrees with its dimension")
-        for j in range(1, col.length + 1):
-            d = col.diff(j)
-            if d.shape != (col.dim(j - 1), col.dim(j)):
-                raise ValueError(f"column {q} differential {j} has shape {d.shape}")
+            d = W.map(0, q, j)
+            name = f"differential {j}" if j else "augmentation"
+            if d.shape != (W.spot_dim(q, j - 1), col.dim(j)):
+                raise ValueError(f"column {q} {name} has shape {d.shape}")
+            tgt_acts = col.actions[j - 1] if j else W.base_modules[q].actions
             for i in range(algebra.dim):
-                if d @ col.actions[j][i] != col.actions[j - 1][i] @ d:
-                    raise ValueError(
-                        f"column {q} differential {j} is not module-linear (basis element {i})"
-                    )
-        for i in range(algebra.dim):
-            if col.augmentation @ col.actions[0][i] != mod.actions[i] @ col.augmentation:
-                raise ValueError(f"column {q} augmentation is not module-linear (basis element {i})")
-        aug = col.augmented_complex(mod.dim)
+                if d @ acts[i] != tgt_acts[i] @ d:
+                    raise ValueError(f"column {q} {name} is not module-linear (basis element {i})")
+        aug = ChainComplex(
+            {j: W.spot_dim(q, j) for j in range(-1, col.length + 1)},
+            {j: W.map(0, q, j) for j in range(col.length + 1)},
+        )
         aug.require_valid()
         hom = homology_dims(aug)
         for n in range(-1, col.length):
@@ -403,47 +376,28 @@ def _assemble(
     columns: Sequence[WallColumn],
 ) -> WallAssembly:
     _validate_base(algebra, base_modules, base_maps)
-    _validate_columns(algebra, base_modules, columns)
     W = WallAssembly(algebra, base_modules, base_maps, columns, {})
+    _validate_columns(W)
     q_max = W.q_max
     # filled in place, in increasing total degree: every map an obstruction
     # needs is stored before it is read through ``W.map``
     connecting = W.connecting
-    top = W.top_degree()
-    for n in range(1, top + 1):
+    for n in range(1, W.top_degree() + 1):
         for k in range(1, min(n, q_max) + 1):
             for q in range(k, min(n, q_max) + 1):
                 j = n - q
-                if j < 0 or j > columns[q].length:
+                if j > columns[q].length:
                     continue
                 src_dim = columns[q].dim(j)
                 if src_dim == 0:
                     continue
-                tgt_dim = W.spot_dim(q - k, j + k - 1)
-                if k == 1 and j == 0:
-                    rhs = base_maps[q - 1] @ columns[q].augmentation
-                    if tgt_dim == 0:
-                        if not rhs.is_zero():
-                            raise CertificateError(
-                                f"image containment fails at (q={q}, j=0, k=1): "
-                                "the base map cannot lift into an empty cover"
-                            )
-                        continue
-                    basis = _hom_basis_between(algebra, columns[q], 0, columns[q - 1], 0)
-                    lift = solve_in_subspace(columns[q - 1].augmentation, rhs, basis)
-                    if lift is None:
-                        raise CertificateError(f"lifting system inconsistent at (q={q}, j=0, k=1)")
-                    if not lift.is_zero():
-                        connecting[(1, q, 0)] = lift
-                    continue
                 obstruction = RationalMatrix.zeros(W.spot_dim(q - k, j + k - 2), src_dim)
                 for h in range(k):
-                    if h == 0 and j == 0:
-                        continue
                     left = W.map(k - h, q - h, j + h - 1)
                     right = W.map(h, q, j)
                     if not (left.is_zero() or right.is_zero()):
                         obstruction = obstruction + left @ right
+                tgt_dim = W.spot_dim(q - k, j + k - 1)
                 if tgt_dim == 0:
                     if not obstruction.is_zero():
                         raise CertificateError(
@@ -452,17 +406,14 @@ def _assemble(
                             f"{j + k - 1} term to receive it; extend the lower columns"
                         )
                     continue
-                target_diff = columns[q - k].diff(j + k - 1)
-                rhs = -obstruction
-                if solve_matrix(target_diff, rhs) is None:
-                    raise CertificateError(
-                        f"image containment fails at (q={q}, j={j}, k={k}): "
-                        "im(del) is not inside im(d0)"
-                    )
-                basis = _hom_basis_between(algebra, columns[q], j, columns[q - k], j + k - 1)
-                lift = solve_in_subspace(target_diff, rhs, basis)
+                tgt_acts = columns[q - k].actions[j + k - 1]
+                basis = _hom_basis_between(algebra, columns[q], j, tgt_acts, tgt_dim)
+                lift = solve_in_subspace(W.map(0, q - k, j + k - 1), -obstruction, basis)
                 if lift is None:
-                    raise CertificateError(f"lifting system inconsistent at (q={q}, j={j}, k={k})")
+                    raise CertificateError(
+                        f"image containment fails at (q={q}, j={j}, k={k}): the "
+                        "obstruction has no module-linear preimage under d(0)"
+                    )
                 if not lift.is_zero():
                     connecting[(k, q, j)] = lift
 
@@ -480,15 +431,16 @@ def build_wall(
 
     ``resolutions[q]`` resolves the degree-q base module (which it carries
     as ``.module``) and ``base_maps[q-1]`` is the base differential from
-    degree q into degree q-1, a module-linear matrix.  Maps are produced
-    in increasing total degree, then increasing k: first the lift of the
-    base differential through the augmentations, then for every higher
-    spot the accumulated obstruction is checked to land in the image of
-    the column differential and a module-linear preimage is chosen by a
-    deterministic constrained solve (``solve_in_subspace`` over a basis of
-    the module maps between the two spots).  Any other module-linear choice
-    would give an isomorphic total complex; this one is fixed so that
-    dumps are reproducible.
+    degree q into degree q-1, a module-linear matrix.  The base sits in
+    row j = -1, where d(1) is minus the base differential, so the lift of
+    the base differential through the augmentations is the (j = 0, k = 1)
+    case of the one rule below.  Maps are produced in increasing total
+    degree, then increasing k: at every spot (q, j >= 0) the obstruction
+    sum_{h<k} d(k - h) d(h) must be minus d(0) of a module-linear map, and
+    that map is chosen by a deterministic constrained solve
+    (``solve_in_subspace`` over a basis of the module maps between the two
+    spots).  Any other module-linear choice would give an isomorphic total
+    complex; this one is fixed so that dumps are reproducible.
     """
     if not resolutions:
         raise ValueError("need at least one resolution")
@@ -509,28 +461,22 @@ def build_wall(
 def verify_induction_identities(W: WallAssembly) -> List[str]:
     """Brute-force re-check of every composite identity; empty means good.
 
-    For each spot and each k the sum of d(k-h) after d(h) is recomputed
-    from the stored matrices and compared with zero, without trusting
-    anything the builder did.  The augmentation squares and the vanishing
-    of augmentation composed with the first column map are included.
+    For each spot (q, j), base row j = -1 included, and each 0 <= k <= q
+    the sum of d(k-h) after d(h) is recomputed from the stored matrices and
+    compared with zero, without trusting anything the builder did.  This
+    covers d o d in every column and in the base (k = 0 and (j, k) =
+    (-1, 2)), the augmentation squares ((0, 1)) and the vanishing of the
+    augmentation on column boundaries ((1, 0)).
     """
     msgs = []
     for q in range(W.q_max + 1):
-        col = W.column(q)
-        if q >= 1:
-            left = W.column(q - 1).augmentation @ W.map(1, q, 0)
-            right = W.base_map(q) @ col.augmentation
-            if left != right:
-                msgs.append(f"augmentation square fails at q={q}")
-        if col.length >= 1 and not (col.augmentation @ col.diff(1)).is_zero():
-            msgs.append(f"augmentation does not kill boundaries in column {q}")
-        for j in range(col.length + 1):
-            for k in range(1, q + 1):
-                total = RationalMatrix.zeros(W.spot_dim(q - k, j + k - 2), col.dim(j))
+        for j in range(-1, W.column(q).length + 1):
+            for k in range(q + 1):
+                total = RationalMatrix.zeros(W.spot_dim(q - k, j + k - 2), W.spot_dim(q, j))
                 for h in range(k + 1):
                     left = W.map(k - h, q - h, j + h - 1)
                     right = W.map(h, q, j)
-                    if left.nrows and left.ncols and right.nrows and right.ncols:
+                    if not (left.is_zero() or right.is_zero()):
                         total = total + left @ right
                 if not total.is_zero():
                     msgs.append(f"identity fails at (q={q}, j={j}, k={k})")
@@ -560,7 +506,7 @@ def total_complex(W: WallAssembly) -> ChainComplex:
     top = W.top_degree()
     dims = {}
     for n in range(top + 1):
-        dims[n] = sum(W.spot_dim(q, n - q) for q in range(W.q_max + 1))
+        dims[n] = sum(W.spot_dim(q, n - q) for q in range(min(n, W.q_max) + 1))
     diffs = {}
     for n in range(1, top + 1):
         if dims.get(n, 0) == 0 or dims.get(n - 1, 0) == 0:
@@ -568,8 +514,7 @@ def total_complex(W: WallAssembly) -> ChainComplex:
         tgt_offsets = {(q, j): off for q, j, off in _spot_offsets(W, n - 1)}
         blocks = []
         for q, j, col_off in _spot_offsets(W, n):
-            start = 0 if j >= 1 else 1
-            for k in range(start, q + 1):
+            for k in range(q + 1):
                 key = (q - k, j + k - 1)
                 if key not in tgt_offsets:
                     continue
@@ -751,30 +696,15 @@ def ext_via_wall(W: WallAssembly, N: ModulePresentation, n_max: int) -> List[int
             ]
             V = ModulePresentation(W.algebra, acts)
     T = total_complex(W)
-    hom_bases: Dict[int, List[RationalMatrix]] = {}
-    for n in range(T.hi + 1):
-        total_dim = T.dim(n)
-        basis: List[RationalMatrix] = []
-        if total_dim and N.dim:
-            for q, j, off in _spot_offsets(W, n):
-                col = W.column(q)
-                sdim = col.dim(j)
-                if sdim == 0:
-                    continue
-                rank = col.free_ranks[j]
-                if rank is not None:
-                    spot_basis = _free_source_hom_basis(W.algebra, rank, N.actions, N.dim)
-                else:
-                    spot_basis = module_hom_basis(
-                        W.algebra, col.actions[j], sdim, N.actions, N.dim
-                    )
-                pads = (
-                    RationalMatrix.zeros(N.dim, off),
-                    RationalMatrix.zeros(N.dim, total_dim - off - sdim),
-                )
-                for B in spot_basis:
-                    basis.append(RationalMatrix.hstack([pads[0], B, pads[1]]))
-        hom_bases[n] = basis
+    # each spot's module maps into N, placed at the spot's columns
+    hom_bases = {
+        n: [
+            RationalMatrix.from_blocks(N.dim, T.dim(n), [(0, off, B)])
+            for q, j, off in _spot_offsets(W, n)
+            for B in _hom_basis_between(W.algebra, W.column(q), j, N.actions, N.dim)
+        ]
+        for n in range(T.hi + 1)
+    }
     cochain = hom_constrained(T, hom_bases, N.dim)
     coh = cohomology_dims(cochain)
     dims = [coh.get(n, 0) for n in range(n_max + 1)]

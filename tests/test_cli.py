@@ -295,6 +295,34 @@ class TestWallBuild:
         assert code == 1
         assert out.startswith(f"INVALID {path}: order must be 'forward'")
 
+    def test_columns_without_room_fail_the_certificate(self, capsys, tmp_path):
+        trivial = {
+            "actions": [
+                RationalMatrix.identity(1).to_json(),
+                RationalMatrix.zeros(1, 1).to_json(),
+            ]
+        }
+        path = _wall_job_file(
+            tmp_path,
+            modules=[trivial, trivial],
+            maps=[RationalMatrix.identity(1).to_json()],
+            lengths=[0, 2],
+            truncate=None,
+        )
+        code, out, err = _run(capsys, ["wall-build", "--input", path])
+        assert code == 2 and out == ""
+        assert "(q=1, j=1, k=1)" in err
+
+    def test_replay_of_a_changed_augmentation_fails(self, capsys, tmp_path):
+        dump = _run_json(capsys, ["wall-build", "--input", _wall_job_file(tmp_path)])
+        aug = dump["assembly"]["columns"][1]["augmentation"]
+        aug["entries"] = [[0, 1, "1"], *aug["entries"]]
+        path = tmp_path / "changed.json"
+        path.write_text(cli._render(dump))
+        code, out, _ = _run(capsys, ["verify-replay", str(path)])
+        assert code == 2
+        assert out.startswith(f"FAIL {path}: identity fails at (q=1, j=0, k=1)")
+
     def test_order_forward_renders_as_no_order(self, capsys, tmp_path):
         code, plain, _ = _run(capsys, ["wall-build", "--input", _wall_job_file(tmp_path)])
         assert code == 0

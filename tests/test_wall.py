@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from wallforge.groupalg import (
 )
 from wallforge.linalg import RationalMatrix
 from wallforge.wall import (
+    WallAssembly,
     augmentation_quasi_iso,
     base_complex,
     build_wall,
@@ -210,6 +213,15 @@ class TestBuildErrors:
                 [RationalMatrix.zeros(2, 2)],
             )
 
+    def test_columns_without_room_for_a_nonzero_obstruction(self):
+        # column 0 stops below the degree the k = 1 map out of column 1 needs
+        A, E = _exterior_E()
+        ident = RationalMatrix.identity(1)
+        for lengths, spot in (((0, 2), "(q=1, j=1, k=1)"), ((1, 3), "(q=1, j=2, k=1)")):
+            res = [free_resolution(A, E, n) for n in lengths]
+            with pytest.raises(CertificateError, match=re.escape(f"image containment fails at {spot}")):
+                build_wall(res, [ident])
+
     def test_truncation_bound_validation(self):
         A, E = _exterior_E()
         W = build_wall([free_resolution(A, E, 2)], [])
@@ -261,3 +273,69 @@ def test_random_walls_over_small_groups():
             assert cert.base_homology == base_betti
             T = total_complex(WT)
             assert T.hi <= WT.q_max + d_bound
+
+
+class TestStoredAssemblyEdits:
+    """``verify_induction_identities`` names the spot an edited map breaks."""
+
+    def _edited(self, W, base_maps=None, columns=None, connecting=None):
+        return WallAssembly(
+            W.algebra,
+            W.base_modules,
+            base_maps or W.base_maps,
+            columns or W.columns,
+            connecting or W.connecting,
+        )
+
+    def _ideal_into_regular(self):
+        A, _ = _exterior_E()
+        reg = ModulePresentation.regular(A)
+        ideal = ModulePresentation(A, [RationalMatrix.identity(1), RationalMatrix.zeros(1, 1)])
+        socle = RationalMatrix([[0], [1]])
+        return build_wall([free_resolution(A, reg, 2), free_resolution(A, ideal, 2)], [socle])
+
+    def test_negated_connecting_map(self):
+        W = self._ideal_into_regular()
+        connecting = dict(W.connecting)
+        connecting[(1, 1, 0)] = -connecting[(1, 1, 0)]
+        bad = verify_induction_identities(self._edited(W, connecting=connecting))
+        assert bad == ["identity fails at (q=1, j=0, k=1)"]
+
+    def test_changed_augmentation_entry(self):
+        W = self._ideal_into_regular()
+        col = W.columns[1]
+        aug = col.augmentation + RationalMatrix([[0, 1]])
+        bad = verify_induction_identities(
+            self._edited(W, columns=(W.columns[0], replace(col, augmentation=aug)))
+        )
+        assert bad == [
+            "identity fails at (q=1, j=0, k=1)",
+            "identity fails at (q=1, j=1, k=0)",
+        ]
+
+    def test_column_differential_that_does_not_square_to_zero(self):
+        A, E = _exterior_E()
+        W = build_wall([free_resolution(A, E, 2)], [])
+        col = W.columns[0]
+        broken = replace(col, diffs=(col.diffs[0], RationalMatrix.identity(2)))
+        bad = verify_induction_identities(self._edited(W, columns=(broken,)))
+        assert bad == ["identity fails at (q=0, j=2, k=0)"]
+
+    def test_base_maps_that_do_not_compose_to_zero(self):
+        A, E = _exterior_E()
+        reg = ModulePresentation.regular(A)
+        socle = RationalMatrix([[0], [1]])
+        W = build_wall(
+            [free_resolution(A, E, 3), free_resolution(A, reg, 2), free_resolution(A, E, 1)],
+            [RationalMatrix([[1, 0]]), socle],
+        )
+        assert verify_induction_identities(W) == []
+        # (1 0) kills the socle but not the unit, so del o del = 1; the
+        # lift of the old map out of column 2 no longer fits either
+        bad = verify_induction_identities(
+            self._edited(W, base_maps=(W.base_maps[0], RationalMatrix([[1], [0]])))
+        )
+        assert bad == [
+            "identity fails at (q=2, j=-1, k=2)",
+            "identity fails at (q=2, j=0, k=1)",
+        ]
