@@ -1,7 +1,8 @@
 """Group-algebra subcommands: ``wall-demo``, ``wall-build`` and ``ext-crossed``.
 
 Each handler takes a JSON-plain inputs dict and returns the full dump; the
-rechecks re-audit a stored dump from its raw matrices.  ``wallforge.cli``
+rechecks re-audit a stored dump from its raw matrices, the wall rechecks with
+the same certificate functions the handlers use.  ``wallforge.cli``
 imports this module the first time it runs or replays one of these jobs.
 ``wall`` is imported inside the functions that use it, so ``ext-crossed``
 never loads it.
@@ -76,54 +77,63 @@ def _augmentation_ideal(
     return ModulePresentation(A, actions), incl
 
 
-def _wall_dump_sections(wall, truncate: int | None) -> dict:
-    """Certificates shared by the wall subcommands.
+def _assembly_certificates(W) -> dict:
+    """The certificates of an assembly whose identities are verified.
 
-    ``wall`` comes from ``build_wall``, which verifies the connecting-map
-    identities of every assembly it returns; the total complex checks its
-    boundary square.  When a truncation bound is given the columns are cut
-    to complete resolutions first, which is what makes the total-versus-base
-    homology comparison a theorem rather than an accident of column length.
+    ``build_wall`` verifies the connecting-map identities of every assembly
+    it returns, and replay verifies a stored one before calling this; the
+    total complex checks its boundary square.
     """
-    from wallforge.wall import (
-        augmentation_quasi_iso,
-        base_complex,
-        total_complex,
-        truncated_wall,
-    )
+    from wallforge.wall import base_complex, total_complex
 
-    total = total_complex(wall)
-    base = base_complex(wall)
-    out = {
-        "assembly": wall.to_json(),
-        "certificates": {
-            "induction_identities": "verified",
-            "delta_squared": "zero",
-            "total_homology": _dim_list(homology_dims(total), total.hi),
-            "base_homology": _dim_list(homology_dims(base), base.hi),
-        },
+    total = total_complex(W)
+    base = base_complex(W)
+    return {
+        "induction_identities": "verified",
+        "delta_squared": "zero",
+        "total_homology": _dim_list(homology_dims(total), total.hi),
+        "base_homology": _dim_list(homology_dims(base), base.hi),
     }
-    if truncate is None:
-        out["truncated"] = None
-        return out
-    trunc = truncated_wall(wall, truncate)
-    eps, cert = augmentation_quasi_iso(trunc)
-    hi = eps.source.hi
-    betti_total = _dim_list(cert.total_homology, hi)
-    betti_base = _dim_list(cert.base_homology, hi)
+
+
+def _truncated_certificates(Wt) -> dict:
+    """The certificates of a truncated assembly: its total complex is
+    quasi-isomorphic to the base, so their Betti numbers agree."""
+    from wallforge.wall import augmentation_quasi_iso
+
+    total, cert = augmentation_quasi_iso(Wt)
+    betti_total = _dim_list(cert.total_homology, total.hi)
+    betti_base = _dim_list(cert.base_homology, total.hi)
     if not cert.betti_match or betti_total != betti_base:
         raise CertificateError(
             f"total Betti numbers {betti_total} disagree with the base {betti_base}"
         )
+    return {
+        "delta_squared": "zero",
+        "betti_total": betti_total,
+        "betti_base": betti_base,
+        "betti_match": True,
+    }
+
+
+def _wall_dump_sections(wall, truncate: int | None) -> dict:
+    """The dump sections shared by the wall subcommands.
+
+    When a truncation bound is given the columns are cut to complete
+    resolutions first, which is what makes the total-versus-base homology
+    comparison a theorem rather than an accident of column length.
+    """
+    from wallforge.wall import truncated_wall
+
+    out = {"assembly": wall.to_json(), "certificates": _assembly_certificates(wall)}
+    if truncate is None:
+        out["truncated"] = None
+        return out
+    trunc = truncated_wall(wall, truncate)
     out["truncated"] = {
         "d_bound": truncate,
         "assembly": trunc.to_json(),
-        "certificates": {
-            "delta_squared": "zero",
-            "betti_total": betti_total,
-            "betti_base": betti_base,
-            "betti_match": True,
-        },
+        "certificates": _truncated_certificates(trunc),
     }
     return out
 
@@ -194,29 +204,20 @@ def _job_wall_build(inputs: dict) -> dict:
 
 
 # configured crossed-product comparisons: generator-space matrices for the
-# group action on each exterior algebra, keyed by (group name, rank)
-_EXT_ACTIONS: dict[tuple[str, int], dict[str, list[list[int]]]] = {
-    ("Z2", 1): {"g": [[-1]]},
-    ("Z4", 1): {"g": [[-1]]},
-    ("Z6", 1): {"g": [[-1]]},
-    ("S3", 1): {"s": [[-1]], "r": [[1]]},
-    ("Z2", 2): {"g": [[0, 1], [1, 0]]},
-    ("Z3", 2): {"g": [[0, -1], [1, -1]]},
-    ("Z4", 2): {"g": [[0, -1], [1, 0]]},
-    ("Z6", 2): {"g": [[1, -1], [1, 0]]},
-    ("S3", 2): {"s": [[0, 1], [1, 0]], "r": [[0, -1], [1, -1]]},
+# group action on each exterior algebra, keyed by (group name, rank) and then
+# by the generator's index in the group table (1 generates Z<n>; in S3, 3 is
+# a reflection s and 1 a rotation r)
+_EXT_ACTIONS: dict[tuple[str, int], dict[int, list[list[int]]]] = {
+    ("Z2", 1): {1: [[-1]]},
+    ("Z4", 1): {1: [[-1]]},
+    ("Z6", 1): {1: [[-1]]},
+    ("S3", 1): {3: [[-1]], 1: [[1]]},
+    ("Z2", 2): {1: [[0, 1], [1, 0]]},
+    ("Z3", 2): {1: [[0, -1], [1, -1]]},
+    ("Z4", 2): {1: [[0, -1], [1, 0]]},
+    ("Z6", 2): {1: [[1, -1], [1, 0]]},
+    ("S3", 2): {3: [[0, 1], [1, 0]], 1: [[0, -1], [1, -1]]},
 }
-
-
-def _element_of_order(Q: FiniteGroupTable, k: int) -> int:
-    for g in range(Q.order):
-        order, h = 1, g
-        while h != Q.identity:
-            h = Q.mul(h, g)
-            order += 1
-        if order == k:
-            return g
-    raise ValueError(f"no element of order {k}")
 
 
 def _ext_group_action(
@@ -227,16 +228,9 @@ def _ext_group_action(
         known = sorted(f"{g}/rank{r}" for g, r in _EXT_ACTIONS)
         raise _InputError(f"no configured action for {key}; known: {', '.join(known)}")
     Q = _group_by_name(group)
-    spec = _EXT_ACTIONS[key]
-    generators: dict[int, RationalMatrix] = {}
-    for label, grid in spec.items():
-        mat = RationalMatrix(grid, ncols=rank)
-        if label == "g":
-            generators[_element_of_order(Q, Q.order)] = mat
-        elif label == "s":
-            generators[_element_of_order(Q, 2)] = mat
-        elif label == "r":
-            generators[_element_of_order(Q, 3)] = mat
+    generators = {
+        g: RationalMatrix(grid, ncols=rank) for g, grid in _EXT_ACTIONS[key].items()
+    }
     return Q, Q.representation_from_generators(generators)
 
 
@@ -332,39 +326,26 @@ def _job_ext_crossed(inputs: dict) -> dict:
     }
 
 
-def _recheck_wall(dump: dict) -> None:
-    from wallforge.wall import (
-        base_complex,
-        total_complex,
-        verify_induction_identities,
-        wall_from_json,
-    )
+def _verified_assembly(doc: dict):
+    from wallforge.wall import verify_induction_identities, wall_from_json
 
-    W = wall_from_json(dump["assembly"])
+    W = wall_from_json(doc)
     failures = verify_induction_identities(W)
     if failures:
         raise CertificateError("; ".join(failures))
-    total = total_complex(W)
-    certs = dump["certificates"]
-    if _dim_list(homology_dims(total), total.hi) != certs["total_homology"]:
-        raise CertificateError("stored total homology does not match the matrices")
-    base = base_complex(W)
-    if _dim_list(homology_dims(base), base.hi) != certs["base_homology"]:
-        raise CertificateError("stored base homology does not match the matrices")
+    return W
+
+
+def _recheck_wall(dump: dict) -> None:
+    """Re-derive every wall certificate from the stored matrices, with the
+    functions that wrote them."""
+    if _assembly_certificates(_verified_assembly(dump["assembly"])) != dump["certificates"]:
+        raise CertificateError("stored certificates do not match the matrices")
     section = dump.get("truncated")
     if section:
-        Wt = wall_from_json(section["assembly"])
-        bad = verify_induction_identities(Wt)
-        if bad:
-            raise CertificateError("; ".join(bad))
-        t_total = total_complex(Wt)
-        betti_total = _dim_list(homology_dims(t_total), t_total.hi)
-        betti_base = _dim_list(homology_dims(base_complex(Wt)), t_total.hi)
-        sc = section["certificates"]
-        if betti_total != sc["betti_total"] or betti_base != sc["betti_base"]:
-            raise CertificateError("stored truncated Betti numbers do not match")
-        if betti_total != betti_base:
-            raise CertificateError("truncated total and base homology disagree")
+        Wt = _verified_assembly(section["assembly"])
+        if _truncated_certificates(Wt) != section["certificates"]:
+            raise CertificateError("stored truncated certificates do not match the matrices")
 
 
 def _recheck_ext(dump: dict) -> None:

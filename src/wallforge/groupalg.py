@@ -733,14 +733,16 @@ def _greedy_module_generators(
         # once the span has the candidates' dimension it holds all of them
         if tracker.rank == len(candidates):
             break
-        if tracker.contains(v):
+        if not tracker.add(v):
             continue
         images = act(v)
         chosen.append((v, images))
         for w in images:
             if tracker.rank == len(candidates):
                 break
-            tracker.add(w)
+            # v itself is one of its images (the unit's) and is already in
+            if w != v:
+                tracker.add(w)
     return chosen
 
 

@@ -17,8 +17,10 @@ degree-q base module, d(0) out of X[q, 0] is the column's augmentation,
 and d(1) out of X[q, -1] is minus the base differential.  With that sign
 the augmentation squares are the (j = 0, k = 1) case of the identities,
 so one lift loop builds every connecting map and one identity loop
-re-checks them, the base's own d o d included.  The total complex sums
-only the spots with j >= 0.
+re-checks them, the base's own d o d included.  One builder sums the
+spots of rows j >= low: with low = 0 it gives the total complex, and with
+low = -1 the mapping cone of the augmentation onto the base, whose
+exactness certifies that the two have the same homology.
 
 Column lengths need to leave room for the maps to land: the receiving
 column q - k must extend to degree j + k - 1 whenever X[q, j] is
@@ -34,11 +36,9 @@ from typing import Dict, List, Sequence, Tuple
 from wallforge.complexes import (
     CertificateError,
     ChainComplex,
-    ChainMap,
     cohomology_dims,
     hom_constrained,
     homology_dims,
-    mapping_cone,
     truncate_canonical,
 )
 from wallforge.groupalg import (
@@ -489,43 +489,55 @@ def base_complex(W: WallAssembly) -> ChainComplex:
     return ChainComplex(dims, diffs)
 
 
-def _spot_offsets(W: WallAssembly, n: int) -> List[Tuple[int, int, int]]:
-    """(q, j, column offset) for the spots of total degree n, q ascending."""
+def _spot_offsets(W: WallAssembly, n: int, low: int) -> List[Tuple[int, int, int]]:
+    """(q, j, column offset) for the spots of rows j >= low with q + j - low = n,
+    q ascending."""
     out = []
     offset = 0
     for q in range(W.q_max + 1):
-        j = n - q
-        if 0 <= j <= W.column(q).length:
+        j = n + low - q
+        if low <= j <= W.column(q).length:
             out.append((q, j, offset))
-            offset += W.column(q).dim(j)
+            offset += W.spot_dim(q, j)
     return out
 
 
-def total_complex(W: WallAssembly) -> ChainComplex:
-    """The direct sum over q + j = n with the summed differential; validated."""
-    top = W.top_degree()
-    dims = {}
-    for n in range(top + 1):
-        dims[n] = sum(W.spot_dim(q, n - q) for q in range(min(n, W.q_max) + 1))
+def _total(W: WallAssembly, low: int) -> ChainComplex:
+    """The direct sum of the spots in rows j >= low, degree n holding those
+    with q + j - low = n, and the sum of every d(k) as differential; validated.
+
+    Rows j >= 0 give the total complex.  Rows j >= -1 give the mapping cone
+    of the augmentation, differential [[d_T, 0], [eps, -del]] on T[n-1] (+)
+    S[n]: minus the cone's differential in ``complexes``, so the same
+    homology.  Its d o d = 0 at a spot is the identity sum_h d(k-h) d(h) = 0
+    there, so the chain-map squares of the augmentation are blocks of this
+    one validation.
+    """
+    spots = [_spot_offsets(W, n, low) for n in range(W.top_degree() - low + 1)]
+    dims = {n: sum(W.spot_dim(q, j) for q, j, _ in s) for n, s in enumerate(spots)}
     diffs = {}
-    for n in range(1, top + 1):
-        if dims.get(n, 0) == 0 or dims.get(n - 1, 0) == 0:
+    for n in range(1, len(spots)):
+        if dims[n] == 0 or dims[n - 1] == 0:
             continue
-        tgt_offsets = {(q, j): off for q, j, off in _spot_offsets(W, n - 1)}
+        tgt_offsets = {(q, j): off for q, j, off in spots[n - 1]}
         blocks = []
-        for q, j, col_off in _spot_offsets(W, n):
+        for q, j, col_off in spots[n]:
             for k in range(q + 1):
-                key = (q - k, j + k - 1)
-                if key not in tgt_offsets:
+                row_off = tgt_offsets.get((q - k, j + k - 1))
+                if row_off is None:
                     continue
                 M = W.map(k, q, j)
-                if M.is_zero():
-                    continue
-                blocks.append((tgt_offsets[key], col_off, M))
+                if not M.is_zero():
+                    blocks.append((row_off, col_off, M))
         diffs[n] = RationalMatrix.from_blocks(dims[n - 1], dims[n], blocks)
     T = ChainComplex(dims, diffs)
     T.require_valid()
     return T
+
+
+def total_complex(W: WallAssembly) -> ChainComplex:
+    """The direct sum over q + j = n, j >= 0, with the summed differential."""
+    return _total(W, 0)
 
 
 @dataclass(frozen=True)
@@ -547,37 +559,26 @@ class WallHomologyCertificate:
         return left == right
 
 
-def augmentation_quasi_iso(W: WallAssembly) -> Tuple[ChainMap, WallHomologyCertificate]:
-    """The collapse onto the base, certified as a quasi-isomorphism.
+def augmentation_quasi_iso(W: WallAssembly) -> Tuple[ChainComplex, WallHomologyCertificate]:
+    """The total complex, with its collapse onto the base certified a
+    quasi-isomorphism.
 
-    The map is the augmentation on every (q, 0) spot and zero elsewhere.
-    It commutes with the differentials because of the augmentation squares
-    and because augmentations kill column boundaries; the certificate then
-    computes the homology of its mapping cone, which must vanish.
+    The collapse is the augmentation on every (q, 0) spot and zero
+    elsewhere.  Its mapping cone is the total complex of rows j >= -1
+    (``_total(W, -1)``), whose validation checks that the collapse is a
+    chain map; the certificate records the cone's homology, which must
+    vanish, next to the homology of the total and the base complex.
 
     The homology identity needs complete columns: a finite column whose
-    top differential still has a kernel is only an initial segment of a
-    resolution, and that kernel pollutes the top total degree unless the
-    base happens to cancel it.  Truncate first (``truncated_wall``) when
-    the columns were cut off raw.
+    top map still has a kernel is only an initial segment of a resolution,
+    and that kernel pollutes the top total degree unless the base happens
+    to cancel it.  Truncate first (``truncated_wall``) when the columns
+    were cut off raw.
     """
     T = total_complex(W)
     S = base_complex(W)
-    components = {}
-    for n in range(W.q_max + 1):
-        if S.dim(n) == 0 or T.dim(n) == 0:
-            continue
-        blocks = [
-            (0, off, W.column(q).augmentation)
-            for q, j, off in _spot_offsets(W, n)
-            if j == 0 and q == n
-        ]
-        components[n] = RationalMatrix.from_blocks(S.dim(n), T.dim(n), blocks)
-    eps = ChainMap(T, S, components)
-    eps.require_chain_map()
-    cone = mapping_cone(eps)
     cert = WallHomologyCertificate(
-        cone_homology=homology_dims(cone),
+        cone_homology=homology_dims(_total(W, -1)),
         total_homology=homology_dims(T),
         base_homology=homology_dims(S),
     )
@@ -587,7 +588,7 @@ def augmentation_quasi_iso(W: WallAssembly) -> Tuple[ChainMap, WallHomologyCerti
             f"cone homology {cert.cone_homology}, total {cert.total_homology}, "
             f"base {cert.base_homology}"
         )
-    return eps, cert
+    return T, cert
 
 
 # ---------------------------------------------------------------------------
@@ -598,21 +599,26 @@ def augmentation_quasi_iso(W: WallAssembly) -> Tuple[ChainMap, WallHomologyCerti
 def truncated_wall(W: WallAssembly, d_bound: int) -> WallAssembly:
     """Cut every column at d_bound canonically and rebuild the maps.
 
-    Columns no longer than the bound are kept as they are; longer ones are
-    replaced by their canonical truncation, whose top degree is a quotient
-    module presented on a subset of the original coordinates.  Connecting
+    Longer columns are replaced by their canonical truncation, whose top
+    degree is a quotient module presented on a subset of the original
+    coordinates.  A column no longer than the bound is kept as it is, and
+    must already be complete: its top map (the top differential, or the
+    augmentation for a column of length 0) must be injective, otherwise no
+    cut completes it and a ``ValueError`` names the column.  Connecting
     maps are rebuilt from scratch since maps out of a quotient spot do not
     simply restrict.  The total complex of the result vanishes above
     q_max + d_bound.
     """
     if d_bound < 0:
         raise ValueError("truncation bound must be nonnegative")
-    if all(col.length <= d_bound for col in W.columns):
-        return W
-    algebra = W.algebra
     new_columns = []
     for q, col in enumerate(W.columns):
         if col.length <= d_bound:
+            if W.map(0, q, col.length).rank() < col.dim(col.length):
+                raise ValueError(
+                    f"column {q} stops at degree {col.length}, within the bound {d_bound}, "
+                    "and its top map has a kernel; resolve it past the bound"
+                )
             new_columns.append(col)
             continue
         C = col.complex()
@@ -652,7 +658,9 @@ def truncated_wall(W: WallAssembly, d_bound: int) -> WallAssembly:
                 augmentation=augmentation,
             )
         )
-    return _assemble(algebra, W.base_modules, W.base_maps, tuple(new_columns))
+    if all(col.length <= d_bound for col in W.columns):
+        return W
+    return _assemble(W.algebra, W.base_modules, W.base_maps, tuple(new_columns))
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +708,7 @@ def ext_via_wall(W: WallAssembly, N: ModulePresentation, n_max: int) -> List[int
     hom_bases = {
         n: [
             RationalMatrix.from_blocks(N.dim, T.dim(n), [(0, off, B)])
-            for q, j, off in _spot_offsets(W, n)
+            for q, j, off in _spot_offsets(W, n, 0)
             for B in _hom_basis_between(W.algebra, W.column(q), j, N.actions, N.dim)
         ]
         for n in range(T.hi + 1)

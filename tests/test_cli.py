@@ -10,7 +10,8 @@ import pytest
 
 from wallforge import arith, cli
 from wallforge.cli import _merge_negative_values, main, verify_replay
-from wallforge.groupalg import AlgebraPresentation
+from wallforge.complexes import CertificateError
+from wallforge.groupalg import AlgebraPresentation, FiniteGroupTable, ModulePresentation
 from wallforge.lie import LieAlgebra
 from wallforge.linalg import RationalMatrix
 
@@ -322,6 +323,42 @@ class TestWallBuild:
         code, out, _ = _run(capsys, ["verify-replay", str(path)])
         assert code == 2
         assert out.startswith(f"FAIL {path}: identity fails at (q=1, j=0, k=1)")
+
+    def test_replay_of_changed_truncated_betti_numbers_fails(self, capsys, tmp_path):
+        from wallforge.cli_groupalg import _recheck_wall
+
+        dump = _run_json(capsys, ["wall-build", "--input", _wall_job_file(tmp_path)])
+        dump["truncated"]["certificates"]["betti_base"][0] += 1
+        message = "stored truncated certificates do not match the matrices"
+        with pytest.raises(CertificateError, match=message):
+            _recheck_wall(dump)
+        path = tmp_path / "changed.json"
+        path.write_text(cli._render(dump))
+        code, out, _ = _run(capsys, ["verify-replay", str(path)])
+        assert code == 2
+        assert out.startswith(f"FAIL {path}: {message}")
+
+    def test_truncation_that_cannot_complete_a_column_is_invalid(self, capsys, tmp_path):
+        A = AlgebraPresentation.group_algebra(FiniteGroupTable.cyclic(2))
+        one = RationalMatrix.identity(1).to_json()
+        for length in (2, 0):
+            path = _wall_job_file(
+                tmp_path,
+                algebra=A.to_json(),
+                modules=[{"actions": [one, one]}],
+                maps=[],
+                lengths=[length],
+                truncate=length,
+            )
+            code, out, err = _run(capsys, ["wall-build", "--input", path])
+            assert code == 1 and out == ""
+            assert f"invalid input: column 0 stops at degree {length}, within the bound {length}" in err
+        regular = {"actions": [m.to_json() for m in ModulePresentation.regular(A).actions]}
+        path = _wall_job_file(
+            tmp_path, algebra=A.to_json(), modules=[regular], maps=[], lengths=[0], truncate=0
+        )
+        dump = _run_json(capsys, ["wall-build", "--input", path])
+        assert dump["truncated"]["certificates"]["betti_total"] == [2]
 
     def test_order_forward_renders_as_no_order(self, capsys, tmp_path):
         code, plain, _ = _run(capsys, ["wall-build", "--input", _wall_job_file(tmp_path)])

@@ -209,6 +209,33 @@ class TestResolutions:
                 assert ext_dims(A, M, N, 2) == want
                 assert ext_dims_via_hom_complex(A, M, N, 2) == want
 
+    def test_each_chosen_generator_is_reduced_once(self, monkeypatch):
+        """The greedy scan adds a candidate to the span as it tests it, and
+        does not reduce it again as its own image under the unit."""
+        from wallforge import groupalg, linalg
+
+        reduced = []
+        counts = []
+        reduce = linalg.SpanTracker._reduce
+        greedy = groupalg._greedy_module_generators
+
+        def recording(self, v):
+            reduced.append(tuple(v))
+            return reduce(self, v)
+
+        def counted(act, candidates, ambient_dim):
+            reduced.clear()
+            chosen = greedy(act, candidates, ambient_dim)
+            counts.extend(reduced.count(v) for v, _ in chosen)
+            return chosen
+
+        monkeypatch.setattr(linalg.SpanTracker, "_reduce", recording)
+        monkeypatch.setattr(groupalg, "_greedy_module_generators", counted)
+        A = AlgebraPresentation.group_algebra(FiniteGroupTable.symmetric3())
+        res = free_resolution(A, ModulePresentation.one_dimensional(A, [1] * 6), 3)
+        assert len(counts) == sum(res.ranks) > 1
+        assert counts == [1] * len(counts)
+
     def test_zero_module_resolves_to_nothing(self):
         A = AlgebraPresentation.exterior_algebra(1)
         res = free_resolution(A, ModulePresentation.zero(A), 3)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallforge.complexes import CertificateError, homology_dims
+from wallforge.complexes import CertificateError, ChainMap, homology_dims, mapping_cone
 from wallforge.groupalg import (
     AlgebraPresentation,
     FiniteGroupTable,
@@ -19,6 +19,7 @@ from wallforge.groupalg import (
 from wallforge.linalg import RationalMatrix
 from wallforge.wall import (
     WallAssembly,
+    _total,
     augmentation_quasi_iso,
     base_complex,
     build_wall,
@@ -222,6 +223,20 @@ class TestBuildErrors:
             with pytest.raises(CertificateError, match=re.escape(f"image containment fails at {spot}")):
                 build_wall(res, [ident])
 
+    def test_truncation_refuses_a_column_it_cannot_complete(self):
+        # over E[Z/2] the trivial line's resolution has a kernel at every top
+        A = AlgebraPresentation.group_algebra(FiniteGroupTable.cyclic(2))
+        triv = ModulePresentation.one_dimensional(A, [1, 1])
+        for length, bound in ((2, 2), (0, 0), (1, 3)):
+            W = build_wall([free_resolution(A, triv, length)], [])
+            with pytest.raises(ValueError, match=f"column 0 stops at degree {length}, within the bound {bound}"):
+                truncated_wall(W, bound)
+        # the regular module's augmentation is injective: already complete
+        W = build_wall([free_resolution(A, ModulePresentation.regular(A), 0)], [])
+        assert truncated_wall(W, 0) is W
+        _, cert = augmentation_quasi_iso(W)
+        assert cert.is_quasi_iso
+
     def test_truncation_bound_validation(self):
         A, E = _exterior_E()
         W = build_wall([free_resolution(A, E, 2)], [])
@@ -273,6 +288,60 @@ def test_random_walls_over_small_groups():
             assert cert.base_homology == base_betti
             T = total_complex(WT)
             assert T.hi <= WT.q_max + d_bound
+
+
+def _reference_cone(W):
+    """The mapping cone of the augmentation as ``complexes`` builds it."""
+    T, S = total_complex(W), base_complex(W)
+    # the (n, 0) spot comes last among the degree-n spots of T
+    eps = {
+        n: RationalMatrix.from_blocks(
+            S.dim(n), T.dim(n), [(0, T.dim(n) - W.spot_dim(n, 0), W.column(n).augmentation)]
+        )
+        for n in range(W.q_max + 1)
+    }
+    return mapping_cone(ChainMap(T, S, eps))
+
+
+def _cone_cases():
+    A, E = _exterior_E()
+    for length in (1, 2, 3):
+        W = build_wall([free_resolution(A, E, length)], [])
+        yield f"E over Lambda(1), length {length}", W
+        yield f"E over Lambda(1), length {length}, cut", truncated_wall(W, length - 1)
+    groups = {
+        "Z2": FiniteGroupTable.cyclic(2),
+        "Z3": FiniteGroupTable.cyclic(3),
+        "S3": FiniteGroupTable.symmetric3(),
+        "D4": FiniteGroupTable.dihedral(4),
+        "Q8": FiniteGroupTable.quaternion8(),
+    }
+    for name, Q in groups.items():
+        # the wall-demo assembly at --degrees 2
+        G = AlgebraPresentation.group_algebra(Q)
+        ideal, incl = augmentation_ideal(G)
+        reg = ModulePresentation.regular(G)
+        W = build_wall([free_resolution(G, reg, 2), free_resolution(G, ideal, 2)], [incl])
+        yield f"wall-demo {name}", W
+        yield f"wall-demo {name}, cut", truncated_wall(W, 1)
+    rng = random.Random(411)
+    for Q in (FiniteGroupTable.cyclic(2), FiniteGroupTable.cyclic(3)):
+        for i in range(2):
+            W, d_bound = build_random_wall(rng, Q, max_len=3)
+            yield f"random wall {i} over Z{Q.order}", W
+            yield f"random wall {i} over Z{Q.order}, cut", truncated_wall(W, d_bound)
+
+
+def test_rows_from_minus_one_are_the_cone_of_the_augmentation():
+    """``_total(W, -1)`` against ``mapping_cone``, non-exact cones included."""
+    seen = {}
+    for name, W in _cone_cases():
+        got = homology_dims(_total(W, -1))
+        assert got == homology_dims(_reference_cone(W)), name
+        seen[name] = got
+    assert seen["E over Lambda(1), length 2"] == {0: 0, 1: 0, 2: 0, 3: 1}
+    assert any(any(h.values()) for h in seen.values())
+    assert all(not any(h.values()) for name, h in seen.items() if name.endswith("cut"))
 
 
 class TestStoredAssemblyEdits:
