@@ -763,6 +763,8 @@ def free_resolution(
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
+    if not _same_algebra(M.algebra, A):
+        raise ValueError("the resolved module lives over a different algebra")
     da = A.dim
     std = [tuple(1 if k == i else 0 for k in range(M.dim)) for i in range(M.dim)]
     gens0 = _greedy_module_generators(
@@ -846,7 +848,7 @@ def _hom_cochain_complex(
     the differential against d_{n+1} = (a_{tu}) sends (phi_t)_t to
     (sum_t rho_N(a_{tu}) phi_t)_u.
     """
-    if N.algebra.dim != res.algebra.dim:
+    if not _same_algebra(N.algebra, res.algebra):
         raise ValueError("coefficient module lives over a different algebra")
     nd = N.dim
     dims = {}
@@ -908,6 +910,8 @@ def ext_dims_via_hom_complex(
     """
     from wallforge.complexes import hom_constrained
 
+    if not _same_algebra(N.algebra, A):
+        raise ValueError("coefficient module lives over a different algebra")
     res = free_resolution(A, M, n_max + 1)
     hom_bases = {
         n: _free_source_hom_basis(A, rn, N.actions, N.dim) for n, rn in enumerate(res.ranks)

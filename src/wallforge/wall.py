@@ -21,6 +21,8 @@ re-checks them, the base's own d o d included.  One builder sums the
 spots of rows j >= low: with low = 0 it gives the total complex, and with
 low = -1 the mapping cone of the augmentation onto the base, whose
 exactness certifies that the two have the same homology.
+One pass over the spots (q, j >= -1) validates the builder's input, and
+``wall_from_json`` re-checks every identity of a stored assembly.
 
 Column lengths need to leave room for the maps to land: the receiving
 column q - k must extend to degree j + k - 1 whenever X[q, j] is
@@ -214,7 +216,8 @@ class WallAssembly:
 
 
 def wall_from_json(data: dict) -> WallAssembly:
-    """Rebuild an assembly from its dump; module axioms are re-validated."""
+    """Rebuild an assembly from its dump; module axioms and every identity
+    are re-checked, and a failed identity raises ``CertificateError``."""
     algebra = AlgebraPresentation.from_json(data["algebra"])
     base_modules = [
         ModulePresentation(algebra, [RationalMatrix.from_json(m) for m in entry["actions"]])
@@ -226,7 +229,11 @@ def wall_from_json(data: dict) -> WallAssembly:
         (int(e["k"]), int(e["q"]), int(e["j"])): RationalMatrix.from_json(e["matrix"])
         for e in data["connecting"]
     }
-    return WallAssembly(algebra, base_modules, base_maps, columns, connecting)
+    W = WallAssembly(algebra, base_modules, base_maps, columns, connecting)
+    failures = verify_induction_identities(W)
+    if failures:
+        raise CertificateError("; ".join(failures))
+    return W
 
 
 # ---------------------------------------------------------------------------
@@ -283,64 +290,49 @@ def _hom_basis_between(
 # ---------------------------------------------------------------------------
 
 
-def _validate_base(
-    algebra: AlgebraPresentation,
-    base_modules: Sequence[ModulePresentation],
-    base_maps: Sequence[RationalMatrix],
-) -> None:
-    if not base_modules:
-        raise ValueError("need at least one base degree")
-    if len(base_maps) != len(base_modules) - 1:
-        raise ValueError(
-            f"expected {len(base_modules) - 1} base maps for "
-            f"{len(base_modules)} base degrees, got {len(base_maps)}"
-        )
-    for q, mod in enumerate(base_modules):
-        if not _same_algebra(mod.algebra, algebra):
-            raise ValueError(f"base module {q} lives over a different algebra")
-    for q in range(1, len(base_modules)):
-        d = base_maps[q - 1]
-        want = (base_modules[q - 1].dim, base_modules[q].dim)
-        if d.shape != want:
-            raise ValueError(f"base map {q} has shape {d.shape}, expected {want}")
-        for i in range(algebra.dim):
-            if d @ base_modules[q].actions[i] != base_modules[q - 1].actions[i] @ d:
-                raise ValueError(f"base map {q} is not module-linear (basis element {i})")
-    for q in range(2, len(base_modules)):
-        if not (base_maps[q - 2] @ base_maps[q - 1]).is_zero():
-            raise ValueError(f"base maps do not compose to zero at degree {q}")
-
-
-def _validate_columns(W: WallAssembly) -> None:
-    """Shapes, module-linearity of every d(0) out of a column, and exactness.
-
-    Row j = -1 supplies the actions on the target of each augmentation.
+def _validate_spots(W: WallAssembly) -> None:
+    """One pass over the spots (q, j >= -1): a ``ValueError`` names the first
+    column spot with bad actions or rank, base module over another algebra,
+    map out of a spot within its column (d(0), or the base map in row -1)
+    of the wrong shape or not module-linear, base d o d, or inexact column.
     """
     algebra = W.algebra
     for q, col in enumerate(W.columns):
-        for j in range(col.length + 1):
-            acts = col.actions[j]
-            if len(acts) != algebra.dim:
-                raise ValueError(f"column {q} degree {j} needs {algebra.dim} action matrices")
-            for m in acts:
-                if m.shape != (col.dim(j), col.dim(j)):
-                    raise ValueError(f"column {q} degree {j} action has shape {m.shape}")
-            rank = col.free_ranks[j]
-            if rank is not None and rank * algebra.dim != col.dim(j):
-                raise ValueError(f"column {q} degree {j} rank disagrees with its dimension")
-            d = W.map(0, q, j)
-            name = f"differential {j}" if j else "augmentation"
-            if d.shape != (W.spot_dim(q, j - 1), col.dim(j)):
-                raise ValueError(f"column {q} {name} has shape {d.shape}")
-            tgt_acts = col.actions[j - 1] if j else W.base_modules[q].actions
+        base = W.base_modules[q]
+        if not _same_algebra(base.algebra, algebra):
+            raise ValueError(f"base module {q} lives over a different algebra")
+        for j in range(-1 if q else 0, col.length + 1):
+            if j == -1:
+                name = f"base map {q}"
+                d = W.base_maps[q - 1]
+                acts = base.actions
+                want = (W.spot_dim(q - 1, -1), base.dim)
+                tgt_acts = W.base_modules[q - 1].actions
+            else:
+                acts = col.actions[j]
+                if len(acts) != algebra.dim:
+                    raise ValueError(f"column {q} degree {j} needs {algebra.dim} action matrices")
+                for m in acts:
+                    if m.shape != (col.dim(j), col.dim(j)):
+                        raise ValueError(f"column {q} degree {j} action has shape {m.shape}")
+                rank = col.free_ranks[j]
+                if rank is not None and rank * algebra.dim != col.dim(j):
+                    raise ValueError(f"column {q} degree {j} rank disagrees with its dimension")
+                name = f"column {q} differential {j}" if j else f"column {q} augmentation"
+                d = W.map(0, q, j)
+                want = (W.spot_dim(q, j - 1), col.dim(j))
+                tgt_acts = col.actions[j - 1] if j else base.actions
+            if d.shape != want:
+                raise ValueError(f"{name} has shape {d.shape}, expected {want}")
             for i in range(algebra.dim):
                 if d @ acts[i] != tgt_acts[i] @ d:
-                    raise ValueError(f"column {q} {name} is not module-linear (basis element {i})")
+                    raise ValueError(f"{name} is not module-linear (basis element {i})")
+        if q >= 2 and not (W.base_maps[q - 2] @ W.base_maps[q - 1]).is_zero():
+            raise ValueError(f"base maps do not compose to zero at degree {q}")
         aug = ChainComplex(
             {j: W.spot_dim(q, j) for j in range(-1, col.length + 1)},
             {j: W.map(0, q, j) for j in range(col.length + 1)},
         )
-        aug.require_valid()
         hom = homology_dims(aug)
         for n in range(-1, col.length):
             if hom.get(n, 0):
@@ -375,9 +367,8 @@ def _assemble(
     base_maps: Sequence[RationalMatrix],
     columns: Sequence[WallColumn],
 ) -> WallAssembly:
-    _validate_base(algebra, base_modules, base_maps)
     W = WallAssembly(algebra, base_modules, base_maps, columns, {})
-    _validate_columns(W)
+    _validate_spots(W)
     q_max = W.q_max
     # filled in place, in increasing total degree: every map an obstruction
     # needs is stored before it is read through ``W.map``

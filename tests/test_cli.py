@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,12 @@ import pytest
 from wallforge import arith, cli
 from wallforge.cli import _merge_negative_values, main, verify_replay
 from wallforge.complexes import CertificateError
-from wallforge.groupalg import AlgebraPresentation, FiniteGroupTable, ModulePresentation
+from wallforge.groupalg import (
+    AlgebraPresentation,
+    FiniteGroupTable,
+    ModulePresentation,
+    standard_groups,
+)
 from wallforge.lie import LieAlgebra
 from wallforge.linalg import RationalMatrix
 
@@ -222,6 +228,34 @@ class TestWallDemo:
         # the built assembly's, and the truncation's inside the quasi-isomorphism check
         assert len(calls) == 2
 
+    def test_augmentation_ideal_matches_the_reference(self):
+        from wallforge.cli_groupalg import _augmentation_ideal
+
+        from wall_cases import augmentation_ideal
+
+        for Q in standard_groups(8):
+            A = AlgebraPresentation.group_algebra(Q)
+            ideal, incl = _augmentation_ideal(A)
+            want, want_incl = augmentation_ideal(A)
+            assert incl == want_incl
+            assert ideal.actions == want.actions
+
+    def test_augmentation_ideal_is_one_solve(self, monkeypatch):
+        from wallforge import cli_groupalg
+
+        calls = []
+        original = cli_groupalg.solve_matrix
+
+        def counted(A, B):
+            calls.append(B.shape)
+            return original(A, B)
+
+        monkeypatch.setattr(cli_groupalg, "solve_matrix", counted)
+        A = AlgebraPresentation.group_algebra(FiniteGroupTable.dihedral(4))
+        cli_groupalg._augmentation_ideal(A)
+        # the eight basis elements' right-hand sides side by side
+        assert calls == [(8, 56)]
+
     def test_trivial_group_rejected(self, capsys):
         code, _, _ = _run(capsys, ["wall-demo", "--group", "Z1", "--degrees", "2"])
         assert code == 1
@@ -323,6 +357,15 @@ class TestWallBuild:
         code, out, _ = _run(capsys, ["verify-replay", str(path)])
         assert code == 2
         assert out.startswith(f"FAIL {path}: identity fails at (q=1, j=0, k=1)")
+
+    def test_reading_a_changed_augmentation_fails(self, capsys, tmp_path):
+        from wallforge.wall import wall_from_json
+
+        dump = _run_json(capsys, ["wall-build", "--input", _wall_job_file(tmp_path)])
+        aug = dump["assembly"]["columns"][1]["augmentation"]
+        aug["entries"] = [[0, 1, "1"], *aug["entries"]]
+        with pytest.raises(CertificateError, match=re.escape("identity fails at (q=1, j=0, k=1)")):
+            wall_from_json(dump["assembly"])
 
     def test_replay_of_changed_truncated_betti_numbers_fails(self, capsys, tmp_path):
         from wallforge.cli_groupalg import _recheck_wall

@@ -292,6 +292,24 @@ class TestExt:
         reg = ModulePresentation.regular(A)
         assert ext_dims(A, E, reg, 3) == [1, 0, 0, 0]
 
+    @pytest.mark.parametrize("route", [ext_dims, ext_dims_via_hom_complex])
+    def test_modules_over_another_algebra_are_refused(self, route):
+        # E[Z/2] and Lambda(1) both have dimension 2, so only their structure
+        # constants tell the regular modules apart
+        A = AlgebraPresentation.group_algebra(FiniteGroupTable.cyclic(2))
+        own = ModulePresentation.regular(A)
+        foreign = ModulePresentation.regular(AlgebraPresentation.exterior_algebra(1))
+        with pytest.raises(ValueError, match="the resolved module lives over a different algebra"):
+            route(A, foreign, own, 1)
+        with pytest.raises(ValueError, match="coefficient module lives over a different algebra"):
+            route(A, own, foreign, 1)
+
+    def test_resolution_of_a_module_over_another_algebra_is_refused(self):
+        A = AlgebraPresentation.group_algebra(FiniteGroupTable.cyclic(2))
+        foreign = ModulePresentation.regular(AlgebraPresentation.exterior_algebra(1))
+        with pytest.raises(ValueError, match="the resolved module lives over a different algebra"):
+            free_resolution(A, foreign, 1)
+
 
 class TestCrossedProduct:
     def _sign_setup(self):

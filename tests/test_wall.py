@@ -19,6 +19,8 @@ from wallforge.groupalg import (
 from wallforge.linalg import RationalMatrix
 from wallforge.wall import (
     WallAssembly,
+    _assemble,
+    _column_from_resolution,
     _total,
     augmentation_quasi_iso,
     base_complex,
@@ -242,6 +244,84 @@ class TestBuildErrors:
         W = build_wall([free_resolution(A, E, 2)], [])
         with pytest.raises(ValueError):
             truncated_wall(W, -1)
+
+
+def _in_column_1(edit):
+    return lambda A, mods, maps, cols: (A, mods, maps, [cols[0], edit(cols[1])])
+
+
+_I2 = RationalMatrix.identity(2)
+_I3 = RationalMatrix.identity(3)
+
+# one fault each in the E[Z/2] wall of the sign line into the regular module,
+# and the message prefix naming the spot or map at fault
+_CORRUPTIONS = {
+    "action count": (
+        _in_column_1(lambda c: replace(c, actions=(c.actions[0][:1],) + c.actions[1:])),
+        "column 1 degree 0 needs 2 action matrices",
+    ),
+    "action shape": (
+        _in_column_1(lambda c: replace(c, actions=(c.actions[0], (_I3, _I3), c.actions[2]))),
+        "column 1 degree 1 action has shape (3, 3)",
+    ),
+    "free rank": (
+        _in_column_1(lambda c: replace(c, free_ranks=(1, 2, 1))),
+        "column 1 degree 1 rank disagrees with its dimension",
+    ),
+    "augmentation shape": (
+        _in_column_1(lambda c: replace(c, augmentation=RationalMatrix.zeros(2, 2))),
+        "column 1 augmentation has shape (2, 2)",
+    ),
+    "differential shape": (
+        _in_column_1(lambda c: replace(c, diffs=(RationalMatrix.zeros(3, 2), c.diffs[1]))),
+        "column 1 differential 1 has shape (3, 2)",
+    ),
+    "non-linear differential": (
+        _in_column_1(lambda c: replace(c, diffs=(c.diffs[0], RationalMatrix([[1, 0], [0, 0]])))),
+        "column 1 differential 2 is not module-linear (basis element 1)",
+    ),
+    "non-linear base map": (
+        lambda A, mods, maps, cols: (A, mods, [RationalMatrix([[1], [0]])], cols),
+        "base map 1 is not module-linear (basis element 1)",
+    ),
+    "non-composing base": (
+        lambda A, mods, maps, cols: (A, [mods[0]] * 3, [_I2, _I2], [cols[0]] * 3),
+        "base maps do not compose to zero at degree 2",
+    ),
+    "inexact column": (
+        _in_column_1(lambda c: replace(c, augmentation=RationalMatrix.zeros(1, 2))),
+        "column 1 fails exactness at degree -1",
+    ),
+    "base module over another algebra": (
+        lambda A, mods, maps, cols: (
+            A,
+            [mods[0], _exterior_E()[1]],
+            maps,
+            cols,
+        ),
+        "base module 1 lives over a different algebra",
+    ),
+}
+
+
+class TestCorruptedSpots:
+    """Every fault in the builder's input is a ``ValueError`` naming its map."""
+
+    def _inputs(self):
+        A = AlgebraPresentation.group_algebra(FiniteGroupTable.cyclic(2))
+        reg = ModulePresentation.regular(A)
+        sign, incl = augmentation_ideal(A)
+        cols = [_column_from_resolution(free_resolution(A, M, 2)) for M in (reg, sign)]
+        return A, [reg, sign], [incl], cols
+
+    def test_uncorrupted_inputs_assemble(self):
+        assert verify_induction_identities(_assemble(*self._inputs())) == []
+
+    @pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
+    def test_corrupted_input_is_refused(self, case):
+        corrupt, message = _CORRUPTIONS[case]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _assemble(*corrupt(*self._inputs()))
 
 
 class TestExtViaWall:
