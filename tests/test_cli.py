@@ -349,23 +349,19 @@ class TestWallBuild:
         assert "(q=1, j=1, k=1)" in err
 
     def test_replay_of_a_changed_augmentation_fails(self, capsys, tmp_path):
-        dump = _run_json(capsys, ["wall-build", "--input", _wall_job_file(tmp_path)])
-        aug = dump["assembly"]["columns"][1]["augmentation"]
-        aug["entries"] = [[0, 1, "1"], *aug["entries"]]
-        path = tmp_path / "changed.json"
-        path.write_text(cli._render(dump))
-        code, out, _ = _run(capsys, ["verify-replay", str(path)])
-        assert code == 2
-        assert out.startswith(f"FAIL {path}: identity fails at (q=1, j=0, k=1)")
-
-    def test_reading_a_changed_augmentation_fails(self, capsys, tmp_path):
         from wallforge.wall import wall_from_json
 
         dump = _run_json(capsys, ["wall-build", "--input", _wall_job_file(tmp_path)])
         aug = dump["assembly"]["columns"][1]["augmentation"]
         aug["entries"] = [[0, 1, "1"], *aug["entries"]]
+        # reading the assembly already refuses it
         with pytest.raises(CertificateError, match=re.escape("identity fails at (q=1, j=0, k=1)")):
             wall_from_json(dump["assembly"])
+        path = tmp_path / "changed.json"
+        path.write_text(cli._render(dump))
+        code, out, _ = _run(capsys, ["verify-replay", str(path)])
+        assert code == 2
+        assert out.startswith(f"FAIL {path}: identity fails at (q=1, j=0, k=1)")
 
     def test_replay_of_changed_truncated_betti_numbers_fails(self, capsys, tmp_path):
         from wallforge.cli_groupalg import _recheck_wall

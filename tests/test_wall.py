@@ -293,12 +293,7 @@ _CORRUPTIONS = {
         "column 1 fails exactness at degree -1",
     ),
     "base module over another algebra": (
-        lambda A, mods, maps, cols: (
-            A,
-            [mods[0], _exterior_E()[1]],
-            maps,
-            cols,
-        ),
+        lambda A, mods, maps, cols: (A, [mods[0], _exterior_E()[1]], maps, cols),
         "base module 1 lives over a different algebra",
     ),
 }
