@@ -300,13 +300,12 @@ def _job_ext_crossed(inputs: dict) -> dict:
     A = AlgebraPresentation.exterior_algebra(rank)
     action = [_exterior_extension(rank, m) for m in gen_mats]
     cp = crossed_product(A, Q, action)
-    eps = A.augmentation_values()
     modules = []
     for label in labels:
         base, ops = _ext_module_data(rank, gen_mats, str(label), A.dim)
         modules.append(crossed_module(cp, base, ops))
     reports = []
-    for label, rep in zip(labels, crossed_ext_compare(cp, modules, eps, n_max)):
+    for label, rep in zip(labels, crossed_ext_compare(cp, modules, n_max)):
         if not rep.ok:
             raise CertificateError(
                 f"Ext comparison fails for module {label!r}: "

@@ -45,14 +45,9 @@ from wallforge.linalg import (
 class FiniteGroupTable:
     """A finite group as a multiplication table, validated on construction."""
 
-    __slots__ = ("order", "table", "identity", "inverses", "name", "element_names")
+    __slots__ = ("order", "table", "identity", "inverses", "name")
 
-    def __init__(
-        self,
-        table: Sequence[Sequence[int]],
-        name: str = "",
-        element_names: Optional[Sequence[str]] = None,
-    ):
+    def __init__(self, table: Sequence[Sequence[int]], name: str = ""):
         n = len(table)
         tbl = tuple(tuple(int(x) for x in row) for row in table)
         for row in tbl:
@@ -78,14 +73,11 @@ class FiniteGroupTable:
                 for c in range(n):
                     if tbl[tbl[a][b]][c] != tbl[a][tbl[b][c]]:
                         raise ValueError(f"associativity fails at ({a},{b},{c})")
-        if element_names is not None and len(element_names) != n:
-            raise ValueError("element name count mismatch")
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", tbl)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverses", tuple(inverses))
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "element_names", tuple(element_names) if element_names else None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("FiniteGroupTable is immutable")
@@ -186,12 +178,7 @@ class FiniteGroupTable:
             ax, s = axis_mul[(ax1, ax2)]
             return encode(ax, s * s1 * s2)
 
-        names = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-        return cls(
-            [[mul(a, b) for b in range(8)] for a in range(8)],
-            name="Q8",
-            element_names=names,
-        )
+        return cls([[mul(a, b) for b in range(8)] for a in range(8)], name="Q8")
 
     @classmethod
     def direct_product(cls, G: "FiniteGroupTable", H: "FiniteGroupTable") -> "FiniteGroupTable":
@@ -322,14 +309,9 @@ class AlgebraPresentation:
     both unit laws are checked on construction.
     """
 
-    __slots__ = ("dim", "products", "unit", "labels", "_terms")
+    __slots__ = ("dim", "products", "unit", "_terms")
 
-    def __init__(
-        self,
-        products: Sequence[Sequence[Sequence]],
-        unit: Sequence,
-        labels: Optional[Sequence[str]] = None,
-    ):
+    def __init__(self, products: Sequence[Sequence[Sequence]], unit: Sequence):
         dim = len(products)
         prods = tuple(
             tuple(
@@ -346,7 +328,6 @@ class AlgebraPresentation:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "products", prods)
         object.__setattr__(self, "unit", u)
-        object.__setattr__(self, "labels", tuple(labels) if labels else None)
         # the nonzero structure constants of each b_i * b_j, as (k, c) pairs
         terms = tuple(
             tuple(tuple((k, c) for k, c in enumerate(entry) if c) for entry in row)
@@ -430,7 +411,7 @@ class AlgebraPresentation:
             for i in range(n)
         ]
         unit = [1 if k == Q.identity else 0 for k in range(n)]
-        return cls(products, unit, labels=Q.element_names)
+        return cls(products, unit)
 
     @classmethod
     def exterior_algebra(cls, rank: int) -> "AlgebraPresentation":
@@ -465,8 +446,7 @@ class AlgebraPresentation:
                 row.append(entry)
             products.append(row)
         unit = [1 if i == index[()] else 0 for i in range(dim)]
-        labels = ["^".join(f"x{a}" for a in s) if s else "1" for s in subsets]
-        return cls(products, unit, labels=labels)
+        return cls(products, unit)
 
     def augmentation_values(self) -> Optional[tuple]:
         """The canonical algebra map to Q when this algebra visibly has one.
@@ -1025,10 +1005,7 @@ def crossed_product(
     unit = [0] * dim
     for k, c in enumerate(A.unit):
         unit[Q.identity * da + k] = c
-    labels = None
-    if A.labels:
-        labels = [f"{A.labels[i]}#g{q}" for q in range(Q.order) for i in range(da)]
-    cp_alg = AlgebraPresentation(products, unit, labels=labels)
+    cp_alg = AlgebraPresentation(products, unit)
     return CrossedProductAlgebra(algebra=cp_alg, base=A, group=Q, action=tuple(action))
 
 
@@ -1200,16 +1177,15 @@ def ext_action_matrices(
 def crossed_ext_compare(
     cp: CrossedProductAlgebra,
     modules: Sequence[ModulePresentation],
-    eps_A: Sequence,
     n_max: int,
 ) -> List[CrossedCompareReport]:
     """Certify dim Ext_B**n(E, M) = dim (Ext_A**n(E, M))**Q for n <= n_max.
 
     Returns one report per module M in ``modules``.  The base A must be
-    ``exterior_algebra(rank)`` and ``eps_A`` its augmentation, and each
-    sigma_q must map the span V of the generators into itself.  The two
-    sides are independent routes: the left side resolves the
-    one-dimensional module E over the whole crossed product B = A # Q by
+    ``exterior_algebra(rank)``, and each sigma_q must map the span V of the
+    generators into itself; E is the line on which A acts through its
+    augmentation and Q trivially.  The two sides are independent routes:
+    the left side resolves E over the whole crossed product B = A # Q by
     ``free_resolution``; the right side reads Ext over A off the Koszul
     complex S(V*) (x) M, on which q acts by Sym(sigma_q**(-1) on V) (x) U_q,
     that is p -> p o q**(-1) on polynomials, and takes joint invariants.
@@ -1225,9 +1201,7 @@ def crossed_ext_compare(
     rank = A.dim.bit_length() - 1
     if not _same_algebra(A, AlgebraPresentation.exterior_algebra(rank)):
         raise ValueError("the base algebra is not an exterior algebra")
-    if tuple(eps_A) != A.augmentation_values():
-        raise ValueError("eps_A is not the augmentation of the exterior algebra")
-    eps_B = [Fraction(eps_A[i]) for _ in range(Q.order) for i in range(A.dim)]
+    eps_B = [Fraction(c) for _ in range(Q.order) for c in A.augmentation_values()]
     E_B = ModulePresentation.one_dimensional(cp.algebra, eps_B)
     res_B = free_resolution(cp.algebra, E_B, n_max + 1)
     reports = []

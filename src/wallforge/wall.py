@@ -23,6 +23,10 @@ low = -1 the mapping cone of the augmentation onto the base, whose
 exactness certifies that the two have the same homology.
 One pass over the spots (q, j >= -1) validates the builder's input, and
 ``wall_from_json`` re-checks every identity of a stored assembly.
+A canonical cut of the columns at a bound restricts the assembly instead
+of lifting again: each map between rows at most the bound is read through
+the quotient's projection and inclusion at a cut top.  The lifts are the
+same, since d(0) out of a complete top is injective.
 
 Column lengths need to leave room for the maps to land: the receiving
 column q - k must extend to degree j + k - 1 whenever X[q, j] is
@@ -588,70 +592,86 @@ def augmentation_quasi_iso(W: WallAssembly) -> Tuple[ChainComplex, WallHomologyC
 
 
 def truncated_wall(W: WallAssembly, d_bound: int) -> WallAssembly:
-    """Cut every column at d_bound canonically and rebuild the maps.
+    """Cut every column at d_bound canonically and restrict W to the cut.
 
-    Longer columns are replaced by their canonical truncation, whose top
-    degree is a quotient module presented on a subset of the original
-    coordinates.  A column no longer than the bound is kept as it is, and
-    must already be complete: its top map (the top differential, or the
-    augmentation for a column of length 0) must be injective, otherwise no
-    cut completes it and a ``ValueError`` names the column.  Connecting
-    maps are rebuilt from scratch since maps out of a quotient spot do not
-    simply restrict.  The total complex of the result vanishes above
-    q_max + d_bound.
+    A column longer than the bound is replaced by its canonical truncation,
+    whose top degree C_d / im d_{d+1} is a quotient module presented on a
+    subset of the original coordinates, with projection P and inclusion I.
+    Every map of W between rows at most d_bound is kept, followed by P when
+    it lands in a cut top and preceded by I when it leaves one; maps into
+    higher rows, and connecting maps that restrict to zero, are dropped.
+    This is what the lift loop would build on the cut columns: below the
+    top row each lift sees the inputs it saw in W, and d(0) out of every
+    top is injective, so each lift into the top row has exactly one
+    solution, the restricted map.  So every column must be complete at the
+    bound: no homology above it, and an injective top map (the top
+    differential, or the augmentation at degree 0); otherwise a
+    ``ValueError`` names the column.  The total complex of the result
+    vanishes above q_max + d_bound.
     """
     if d_bound < 0:
         raise ValueError("truncation bound must be nonnegative")
-    new_columns = []
+    # the TruncationData of each top spot (q, d_bound) cut to a quotient
+    tops = {}
+
+    def cut(M: RationalMatrix, src: Tuple[int, int], tgt: Tuple[int, int]) -> RationalMatrix:
+        if src in tops:
+            M = M @ tops[src].inclusion
+        if tgt in tops:
+            M = tops[tgt].projection @ M
+        return M
+
+    columns = []
     for q, col in enumerate(W.columns):
-        if col.length <= d_bound:
-            if W.map(0, q, col.length).rank() < col.dim(col.length):
+        top = min(col.length, d_bound)
+        if col.length > d_bound:
+            C = col.complex()
+            hom = homology_dims(C)
+            for j in range(d_bound + 1, col.length):
+                if hom.get(j, 0):
+                    raise ValueError(
+                        f"column {q} has homology in degree {j}, above the bound {d_bound}"
+                    )
+            _, data = truncate_canonical(C, d_bound)
+            if data is not None:
+                tops[(q, top)] = data
+        d0 = [cut(W.map(0, q, j), (q, j), (q, j - 1)) for j in range(top + 1)]
+        if d0[top].rank() < d0[top].ncols:
+            if col.length > d_bound:
                 raise ValueError(
-                    f"column {q} stops at degree {col.length}, within the bound {d_bound}, "
-                    "and its top map has a kernel; resolve it past the bound"
+                    f"column {q} has homology in degree {d_bound}, at the bound, "
+                    "so its cut top map has a kernel"
                 )
-            new_columns.append(col)
-            continue
-        C = col.complex()
-        hom = homology_dims(C)
-        for j in range(d_bound + 1, col.length):
-            if hom.get(j, 0):
-                raise ValueError(
-                    f"column {q} has homology in degree {j}, above the bound {d_bound}"
-                )
-        truncated, data = truncate_canonical(C, d_bound)
-        if data is None:
-            # the column was already zero above the bound; just drop the tail
-            new_columns.append(
-                WallColumn(
-                    dims=col.dims[: d_bound + 1],
-                    free_ranks=col.free_ranks[: d_bound + 1],
-                    actions=col.actions[: d_bound + 1],
-                    diffs=col.diffs[:d_bound],
-                    augmentation=col.augmentation,
-                )
+            raise ValueError(
+                f"column {q} stops at degree {col.length}, within the bound {d_bound}, "
+                "and its top map has a kernel; resolve it past the bound"
             )
-            continue
-        top_actions = tuple(
-            data.projection @ act @ data.inclusion for act in col.actions[d_bound]
-        )
-        dims = col.dims[:d_bound] + (truncated.dim(d_bound),)
-        diffs = tuple(truncated.diff(j) for j in range(1, d_bound + 1))
-        augmentation = col.augmentation
-        if d_bound == 0:
-            augmentation = col.augmentation @ data.inclusion
-        new_columns.append(
+        top_rank = None if (q, top) in tops else col.free_ranks[top]
+        columns.append(
             WallColumn(
-                dims=dims,
-                free_ranks=col.free_ranks[:d_bound] + (None,),
-                actions=col.actions[:d_bound] + (top_actions,),
-                diffs=diffs,
-                augmentation=augmentation,
+                dims=tuple(m.ncols for m in d0),
+                free_ranks=col.free_ranks[:top] + (top_rank,),
+                actions=tuple(
+                    tuple(cut(a, (q, j), (q, j)) for a in col.actions[j]) for j in range(top + 1)
+                ),
+                diffs=tuple(d0[1:]),
+                augmentation=d0[0],
             )
         )
     if all(col.length <= d_bound for col in W.columns):
         return W
-    return _assemble(W.algebra, W.base_modules, W.base_maps, tuple(new_columns))
+    connecting = {}
+    for (k, q, j), M in W.connecting.items():
+        if j + k - 1 <= d_bound:
+            M = cut(M, (q, j), (q - k, j + k - 1))
+            if not M.is_zero():
+                connecting[(k, q, j)] = M
+    Wt = WallAssembly(W.algebra, W.base_modules, W.base_maps, columns, connecting)
+    _validate_spots(Wt)
+    bad = verify_induction_identities(Wt)
+    if bad:
+        raise CertificateError("construction self-check failed: " + "; ".join(bad))
+    return Wt
 
 
 # ---------------------------------------------------------------------------

@@ -358,7 +358,7 @@ class TestCrossedProduct:
             [RationalMatrix.identity(1), RationalMatrix.zeros(1, 1)],
             [RationalMatrix.identity(1), RationalMatrix.identity(1)],
         )
-        [report] = crossed_ext_compare(cp, [triv], [1, 0], 4)
+        [report] = crossed_ext_compare(cp, [triv], 4)
         assert report.ok
         assert list(report.lhs_dims) == [1, 0, 1, 0, 1]
         assert list(report.base_ext_dims) == [1, 1, 1, 1, 1]
@@ -370,7 +370,7 @@ class TestCrossedProduct:
             [RationalMatrix.identity(1), RationalMatrix.zeros(1, 1)],
             [RationalMatrix.identity(1), RationalMatrix.diagonal([-1])],
         )
-        [report] = crossed_ext_compare(cp, [det], [1, 0], 4)
+        [report] = crossed_ext_compare(cp, [det], 4)
         assert report.ok
         assert list(report.lhs_dims) == [0, 1, 0, 1, 0]
 
@@ -381,7 +381,7 @@ class TestCrossedProduct:
             [RationalMatrix.identity(1), RationalMatrix.zeros(1, 1)],
             [RationalMatrix.identity(1), RationalMatrix.identity(1)],
         )
-        [report] = crossed_ext_compare(cp, [triv], [1, 0], 2)
+        [report] = crossed_ext_compare(cp, [triv], 2)
         data = report.to_json()
         assert set(data) == {"crossed_ext_dims", "base_ext_dims", "invariant_dims", "ok"}
 

@@ -16,6 +16,7 @@ from wallforge.groupalg import (
     ext_dims,
     free_resolution,
 )
+from wallforge import wall as wall_module
 from wallforge.linalg import RationalMatrix
 from wallforge.wall import (
     WallAssembly,
@@ -36,6 +37,7 @@ from wallforge.wall import (
 from wall_cases import (
     augmentation_ideal,
     build_random_wall,
+    exterior_s3_wall,
     regular_sign_values,
 )
 
@@ -244,6 +246,60 @@ class TestBuildErrors:
         W = build_wall([free_resolution(A, E, 2)], [])
         with pytest.raises(ValueError):
             truncated_wall(W, -1)
+
+
+def _exterior_staircase(lengths):
+    """E <- regular <- E over Lambda(1), by the augmentation and the socle."""
+    A, E = _exterior_E()
+    reg = ModulePresentation.regular(A)
+    res = [free_resolution(A, M, n) for M, n in zip((E, reg, E), lengths)]
+    return build_wall(res, [RationalMatrix([[1, 0]]), RationalMatrix([[0], [1]])])
+
+
+def _cut_cases():
+    yield "Lambda(1) staircase", _exterior_staircase((4, 3, 2)), range(2)
+    rng = random.Random(411)
+    for Q in (FiniteGroupTable.cyclic(2), FiniteGroupTable.cyclic(3)):
+        for i in range(2):
+            W, d_bound = build_random_wall(rng, Q, max_len=3)
+            yield f"random wall {i} over Z{Q.order}", W, range(d_bound + 1)
+    yield "Lambda(2) x| S3", exterior_s3_wall(2), range(2)
+
+
+class TestCutByRestriction:
+    """``truncated_wall`` restricts W; the lift loop on its columns agrees."""
+
+    def test_cut_equals_reassembly_of_its_columns(self):
+        for name, W, bounds in _cut_cases():
+            for d_bound in bounds:
+                Wt = truncated_wall(W, d_bound)
+                assert Wt is not W
+                again = _assemble(W.algebra, W.base_modules, W.base_maps, Wt.columns)
+                assert Wt.to_json() == again.to_json(), (name, d_bound)
+
+    def test_cut_solves_nothing(self, monkeypatch):
+        W = _exterior_staircase((4, 3, 2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cut solved a lift")
+
+        monkeypatch.setattr(wall_module, "solve_in_subspace", refuse)
+        monkeypatch.setattr(wall_module, "module_hom_basis", refuse)
+        for d_bound in range(2):
+            assert verify_induction_identities(truncated_wall(W, d_bound)) == []
+
+    def test_homology_at_the_bound_is_refused(self):
+        # a stored column with d_1 = 0 and d_2 = I passes every identity, but
+        # at bound 0 its cut top C_0 / im d_1 = C_0 keeps the kernel of eps
+        A, E = _exterior_E()
+        data = build_wall([free_resolution(A, E, 2)], []).to_json()
+        data["columns"][0]["diffs"] = [
+            RationalMatrix.zeros(2, 2).to_json(),
+            RationalMatrix.identity(2).to_json(),
+        ]
+        W = wall_from_json(data)
+        with pytest.raises(ValueError, match="column 0 has homology in degree 0, at the bound"):
+            truncated_wall(W, 0)
 
 
 def _in_column_1(edit):

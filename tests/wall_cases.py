@@ -1,16 +1,20 @@
 """Shared constructions for the wall tests: small base complexes over group
-algebras whose differentials are built from elementary blocks, plus the
-randomized generator the acceptance run draws from."""
+algebras whose differentials are built from elementary blocks, the
+randomized generator the acceptance run draws from, and a two-column wall
+over Lambda(V) x| S3."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from wallforge.cli_groupalg import _exterior_extension, _ext_group_action
 from wallforge.groupalg import (
     AlgebraPresentation,
     FiniteGroupTable,
     ModulePresentation,
     averaging_idempotent,
+    crossed_module,
+    crossed_product,
     free_resolution,
     module_direct_sum,
 )
@@ -181,3 +185,31 @@ def random_wall_case(rng, Q: FiniteGroupTable, max_len: int = 4, max_extra: int 
 def build_random_wall(rng, Q: FiniteGroupTable, max_len: int = 4):
     resolutions, maps, d_bound = random_wall_case(rng, Q, max_len=max_len)
     return build_wall(resolutions, maps), d_bound
+
+
+def exterior_s3_wall(length: int):
+    """A two-column wall over B = Lambda(V) x| S3, with V = Q**2 and S3 =
+    GL2(F_2) acting as in ``ext-crossed --rank 2 --group S3``.
+
+    The trivial line sits in degree 0 and the permutation module on the
+    three lines of F_2**2 in degree 1, joined by the sum map [1 1 1];
+    Lambda(V) acts on both through its augmentation.  Both columns are
+    resolved to ``length``.
+    """
+    Q, mats = _ext_group_action("S3", 2)
+    A = AlgebraPresentation.exterior_algebra(2)
+    cp = crossed_product(A, Q, [_exterior_extension(2, m) for m in mats])
+    # the generators s = [[0,1],[1,0]] and r = [[0,-1],[1,-1]] permute the
+    # lines <(1,0)>, <(0,1)>, <(1,1)> mod 2 as (0 1) and (0 1 2)
+    lines = Q.representation_from_generators({
+        3: RationalMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+        1: RationalMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+    })
+
+    def through_augmentation(n):
+        return [RationalMatrix.diagonal([c] * n) for c in A.augmentation_values()]
+
+    trivial = crossed_module(cp, through_augmentation(1), [RationalMatrix.identity(1)] * Q.order)
+    permutation = crossed_module(cp, through_augmentation(3), lines)
+    res = [free_resolution(cp.algebra, M, length) for M in (trivial, permutation)]
+    return build_wall(res, [RationalMatrix([[1, 1, 1]])])
