@@ -650,26 +650,34 @@ def _free_action_matrices(left: Sequence[RationalMatrix], rank: int) -> List[Rat
     return [RationalMatrix.block_diag([L] * rank) for L in left]
 
 
-def _free_source_hom_basis(
-    A: AlgebraPresentation,
-    rank: int,
-    tgt_actions: Sequence[RationalMatrix],
-    tgt_dim: int,
-) -> List[RationalMatrix]:
-    """Basis of the module maps A**rank -> N, one per (generator, N-basis) pair.
+def _free_generators(A: AlgebraPresentation, rank: int) -> RationalMatrix:
+    """The generators of A**rank as columns: column u is A's unit in slot u."""
+    unit = RationalMatrix.column(A.unit)
+    slots = [(u * A.dim, u, unit) for u in range(rank)]
+    return RationalMatrix.from_blocks(rank * A.dim, rank, slots)
 
-    The map sending generator u to basis vector w of N is zero off the
-    generator's slots, and its column u * dim(A) + k there is b_k . w.
-    """
-    da = A.dim
-    blocks = [
-        RationalMatrix.from_columns([act.col(w) for act in tgt_actions], nrows=tgt_dim)
-        for w in range(tgt_dim)
-    ]
+
+def _free_map(tgt_actions: Sequence[RationalMatrix], Y: RationalMatrix) -> RationalMatrix:
+    """The module map A**r -> N that sends generator u to column y_u of Y,
+    with N given by its action matrices: its column u * dim(A) + i is b_i . y_u."""
+    da = len(tgt_actions)
+    rows: list = [{} for _ in range(Y.nrows)]
+    for i, act in enumerate(tgt_actions):
+        for a, u, x in (act @ Y).nonzero_entries():
+            rows[a][u * da + i] = x
+    return RationalMatrix._from_sparse(rows, Y.ncols * da)
+
+
+def _free_source_hom_basis(
+    rank: int, tgt_actions: Sequence[RationalMatrix], tgt_dim: int
+) -> List[RationalMatrix]:
+    """Basis of the module maps A**rank -> N, one per (generator, N-basis) pair:
+    the map for (u, w) sends generator u to basis vector w and the others to zero."""
+    one = RationalMatrix.identity(1)
     return [
-        RationalMatrix.from_blocks(tgt_dim, rank * da, [(0, u * da, block)])
+        _free_map(tgt_actions, RationalMatrix.from_blocks(tgt_dim, rank, [(w, u, one)]))
         for u in range(rank)
-        for block in blocks
+        for w in range(tgt_dim)
     ]
 
 
@@ -894,7 +902,7 @@ def ext_dims_via_hom_complex(
         raise ValueError("coefficient module lives over a different algebra")
     res = free_resolution(A, M, n_max + 1)
     hom_bases = {
-        n: _free_source_hom_basis(A, rn, N.actions, N.dim) for n, rn in enumerate(res.ranks)
+        n: _free_source_hom_basis(rn, N.actions, N.dim) for n, rn in enumerate(res.ranks)
     }
     cochain = hom_constrained(res.complex, hom_bases, N.dim)
     dims = cohomology_dims(cochain)

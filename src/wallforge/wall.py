@@ -17,10 +17,11 @@ degree-q base module, d(0) out of X[q, 0] is the column's augmentation,
 and d(1) out of X[q, -1] is minus the base differential.  With that sign
 the augmentation squares are the (j = 0, k = 1) case of the identities,
 so one lift loop builds every connecting map and one identity loop
-re-checks them, the base's own d o d included.  One builder sums the
-spots of rows j >= low: with low = 0 it gives the total complex, and with
-low = -1 the mapping cone of the augmentation onto the base, whose
-exactness certifies that the two have the same homology.
+re-checks them, the base's own d o d included.  Each lift leaves a free
+spot, so one exact solve on the obstruction's generator columns fixes it.
+One builder sums the spots of rows j >= low: with low = 0 it gives the
+total complex, and with low = -1 the mapping cone of the augmentation onto
+the base, whose exactness certifies that the two have the same homology.
 One pass over the spots (q, j >= -1) validates the builder's input, and
 ``wall_from_json`` re-checks every identity of a stored assembly.
 A canonical cut of the columns at a bound restricts the assembly instead
@@ -52,6 +53,8 @@ from wallforge.groupalg import (
     FreeResolution,
     ModulePresentation,
     _free_action_matrices,
+    _free_generators,
+    _free_map,
     _free_source_hom_basis,
     _left_mult_matrices,
     _same_algebra,
@@ -60,7 +63,7 @@ from wallforge.groupalg import (
 from wallforge.linalg import (
     RationalMatrix,
     rank_kernel_image,
-    solve_in_subspace,
+    solve_matrix,
     unvec,
 )
 
@@ -256,8 +259,8 @@ def module_hom_basis(
 
     Solves the commutation constraints X rho_M(b) = rho_N(b) X for every
     algebra basis element b, as one kernel computation on the flattened
-    unknown.  Used for spots that are not free, where the cheap
-    generator-by-generator basis is unavailable.
+    unknown.  Used for the cut tops of a truncated assembly, which are not
+    free, so the cheap generator-by-generator basis is unavailable.
     """
     if src_dim == 0 or tgt_dim == 0:
         return []
@@ -270,23 +273,6 @@ def module_hom_basis(
         )
     _, kernel, _ = rank_kernel_image(RationalMatrix.vstack(blocks))
     return [unvec(v, (tgt_dim, src_dim)) for v in kernel]
-
-
-def _hom_basis_between(
-    A: AlgebraPresentation,
-    src_col: WallColumn,
-    js: int,
-    tgt_actions: Sequence[RationalMatrix],
-    tgt_dim: int,
-) -> List[RationalMatrix]:
-    """Basis of the module maps from degree js of a column into a module."""
-    sdim = src_col.dim(js)
-    if sdim == 0 or tgt_dim == 0:
-        return []
-    rank = src_col.free_ranks[js]
-    if rank is not None:
-        return _free_source_hom_basis(A, rank, tgt_actions, tgt_dim)
-    return module_hom_basis(A, src_col.actions[js], sdim, tgt_actions, tgt_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +357,7 @@ def _assemble(
     base_maps: Sequence[RationalMatrix],
     columns: Sequence[WallColumn],
 ) -> WallAssembly:
+    """Lift every connecting map over free columns; see ``build_wall``."""
     W = WallAssembly(algebra, base_modules, base_maps, columns, {})
     _validate_spots(W)
     q_max = W.q_max
@@ -383,17 +370,17 @@ def _assemble(
                 j = n - q
                 if j > columns[q].length:
                     continue
-                src_dim = columns[q].dim(j)
-                if src_dim == 0:
+                rank = columns[q].free_ranks[j]
+                if rank == 0:
                     continue
-                obstruction = RationalMatrix.zeros(W.spot_dim(q - k, j + k - 2), src_dim)
+                gens = _free_generators(algebra, rank)
+                obstruction = RationalMatrix.zeros(W.spot_dim(q - k, j + k - 2), rank)
                 for h in range(k):
                     left = W.map(k - h, q - h, j + h - 1)
                     right = W.map(h, q, j)
                     if not (left.is_zero() or right.is_zero()):
-                        obstruction = obstruction + left @ right
-                tgt_dim = W.spot_dim(q - k, j + k - 1)
-                if tgt_dim == 0:
+                        obstruction = obstruction + left @ (right @ gens)
+                if W.spot_dim(q - k, j + k - 1) == 0:
                     if not obstruction.is_zero():
                         raise CertificateError(
                             f"image containment fails at (q={q}, j={j}, k={k}): the "
@@ -401,16 +388,14 @@ def _assemble(
                             f"{j + k - 1} term to receive it; extend the lower columns"
                         )
                     continue
-                tgt_acts = columns[q - k].actions[j + k - 1]
-                basis = _hom_basis_between(algebra, columns[q], j, tgt_acts, tgt_dim)
-                lift = solve_in_subspace(W.map(0, q - k, j + k - 1), -obstruction, basis)
-                if lift is None:
+                images = solve_matrix(W.map(0, q - k, j + k - 1), -obstruction)
+                if images is None:
                     raise CertificateError(
                         f"image containment fails at (q={q}, j={j}, k={k}): the "
                         "obstruction has no module-linear preimage under d(0)"
                     )
-                if not lift.is_zero():
-                    connecting[(k, q, j)] = lift
+                if not images.is_zero():
+                    connecting[(k, q, j)] = _free_map(columns[q - k].actions[j + k - 1], images)
 
     bad = verify_induction_identities(W)
     if bad:
@@ -431,11 +416,13 @@ def build_wall(
     the base differential through the augmentations is the (j = 0, k = 1)
     case of the one rule below.  Maps are produced in increasing total
     degree, then increasing k: at every spot (q, j >= 0) the obstruction
-    sum_{h<k} d(k - h) d(h) must be minus d(0) of a module-linear map, and
-    that map is chosen by a deterministic constrained solve
-    (``solve_in_subspace`` over a basis of the module maps between the two
-    spots).  Any other module-linear choice would give an isomorphic total
-    complex; this one is fixed so that dumps are reproducible.
+    sum_{h<k} d(k - h) d(h) must be minus d(0) of a module-linear map out of
+    the free spot.  Both sides are module-linear, so one ``solve_matrix``
+    call on the spot's generator columns gives the generator images, free
+    variables set to zero: the coefficients, in order, of the constrained
+    solve over the basis of module maps out of the spot.  Any other
+    module-linear choice would give an isomorphic total complex; this one
+    is fixed so that dumps are reproducible.
     """
     if not resolutions:
         raise ValueError("need at least one resolution")
@@ -716,14 +703,17 @@ def ext_via_wall(W: WallAssembly, N: ModulePresentation, n_max: int) -> List[int
             V = ModulePresentation(W.algebra, acts)
     T = total_complex(W)
     # each spot's module maps into N, placed at the spot's columns
-    hom_bases = {
-        n: [
-            RationalMatrix.from_blocks(N.dim, T.dim(n), [(0, off, B)])
-            for q, j, off in _spot_offsets(W, n, 0)
-            for B in _hom_basis_between(W.algebra, W.column(q), j, N.actions, N.dim)
-        ]
-        for n in range(T.hi + 1)
-    }
+    hom_bases = {n: [] for n in range(T.hi + 1)}
+    for n in hom_bases:
+        for q, j, off in _spot_offsets(W, n, 0):
+            col = W.column(q)
+            if col.free_ranks[j] is None:  # a cut top
+                spot = module_hom_basis(W.algebra, col.actions[j], col.dim(j), N.actions, N.dim)
+            else:
+                spot = _free_source_hom_basis(col.free_ranks[j], N.actions, N.dim)
+            hom_bases[n] += [
+                RationalMatrix.from_blocks(N.dim, T.dim(n), [(0, off, B)]) for B in spot
+            ]
     cochain = hom_constrained(T, hom_bases, N.dim)
     coh = cohomology_dims(cochain)
     dims = [coh.get(n, 0) for n in range(n_max + 1)]

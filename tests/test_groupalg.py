@@ -14,7 +14,9 @@ from wallforge.groupalg import (
     ModulePresentation,
     _action_violations,
     _free_action_matrices,
+    _free_generators,
     _free_images,
+    _free_map,
     _left_mult_matrices,
     averaging_idempotent,
     crossed_ext_compare,
@@ -429,6 +431,18 @@ def test_slotwise_action_equals_the_block_diagonal_matrices(case):
     ]
     assert _free_images(left, v) == [B.apply(v) for B in blocks]
     assert [M.rows for M in _free_action_matrices(left, rank)] == [B.rows for B in blocks]
+
+
+@given(_free_vectors())
+def test_free_map_sends_the_generators_to_the_given_images(case):
+    # v holds the images of the rank generators in the regular module
+    A, rank, v = case
+    left = _left_mult_matrices(A)
+    Y = RationalMatrix.from_columns([v[u * A.dim : (u + 1) * A.dim] for u in range(rank)])
+    F = _free_map(left, Y)
+    assert F @ _free_generators(A, rank) == Y
+    for L, act in zip(left, _free_action_matrices(left, rank)):
+        assert F @ act == L @ F
 
 
 def _dense_validation_message(products, unit):

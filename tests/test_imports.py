@@ -10,11 +10,16 @@ A ``_``-prefixed function, class or method defined at module level (or
 directly in a module-level class) is private to the package, so something
 in the package must name it: a bare name, an attribute, or a string
 constant such as a ``getattr`` key.  Dunder methods are exempt.
+
+Every name that ``bench/tracer.py`` wraps exists where the tracer looks for
+it, since its ``Recorder.install`` stops on a missing one.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -137,3 +142,21 @@ def test_the_check_sees_an_unreferenced_private_definition():
 def test_every_private_definition_is_referenced():
     sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
     assert unreferenced_private_definitions(sources) == []
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for entries in tracer.LAYERS.values():
+        for mod, qual, _ in entries:
+            owner_name, _, attr = qual.rpartition(".")
+            owner = importlib.import_module(f"wallforge.{mod}")
+            if owner_name:
+                owner = getattr(owner, owner_name, None)
+            # the tracer reads a method from its class's own namespace
+            if owner is None or attr not in vars(owner):
+                missing.append(f"{mod}.{qual}")
+    assert missing == []

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import re
 from dataclasses import replace
@@ -16,6 +18,7 @@ from wallforge.groupalg import (
     ext_dims,
     free_resolution,
 )
+from wallforge import groupalg, linalg
 from wallforge import wall as wall_module
 from wallforge.linalg import RationalMatrix
 from wallforge.wall import (
@@ -37,7 +40,10 @@ from wallforge.wall import (
 from wall_cases import (
     augmentation_ideal,
     build_random_wall,
+    exterior_s3_inputs,
     exterior_s3_wall,
+    random_wall_case,
+    reference_assemble,
     regular_sign_values,
 )
 
@@ -248,12 +254,51 @@ class TestBuildErrors:
             truncated_wall(W, -1)
 
 
-def _exterior_staircase(lengths):
+def _exterior_staircase_inputs(lengths):
     """E <- regular <- E over Lambda(1), by the augmentation and the socle."""
     A, E = _exterior_E()
     reg = ModulePresentation.regular(A)
     res = [free_resolution(A, M, n) for M, n in zip((E, reg, E), lengths)]
-    return build_wall(res, [RationalMatrix([[1, 0]]), RationalMatrix([[0], [1]])])
+    return res, [RationalMatrix([[1, 0]]), RationalMatrix([[0], [1]])]
+
+
+def _exterior_staircase(lengths):
+    return build_wall(*_exterior_staircase_inputs(lengths))
+
+
+def _dump(W):
+    return json.dumps(W.to_json(), sort_keys=True)
+
+
+def _lift_cases():
+    for lengths in ((3, 2, 1), (4, 3, 2), (5, 4, 3)):
+        yield f"Lambda(1) staircase {lengths}", _exterior_staircase_inputs(lengths)
+    rng = random.Random(411)
+    groups = (
+        FiniteGroupTable.cyclic(2),
+        FiniteGroupTable.cyclic(3),
+        FiniteGroupTable.symmetric3(),
+        FiniteGroupTable.dihedral(4),
+    )
+    for Q in groups:
+        for i in range(2):
+            res, maps, _ = random_wall_case(rng, Q, max_len=3)
+            yield f"random wall {i} over {Q.name or Q.order}", (res, maps)
+    yield "Lambda(2) x| S3", exterior_s3_inputs(2)
+
+
+class TestGeneratorImageLifts:
+    """Each lift is solved on generator images; the basis route agrees."""
+
+    def test_build_wall_equals_the_basis_route(self):
+        for name, (res, maps) in _lift_cases():
+            W = build_wall(res, maps)
+            again = reference_assemble(W.algebra, W.base_modules, W.base_maps, W.columns)
+            assert _dump(W) == _dump(again), name
+
+    def test_exterior_s3_wall_of_length_3_is_pinned(self):
+        digest = hashlib.sha256(_dump(exterior_s3_wall(3)).encode()).hexdigest()
+        assert digest == "ea5bf89338e28735e4a047073e8460e813c4a68cbde3ed8c40f248a19ca3bd82"
 
 
 def _cut_cases():
@@ -274,17 +319,20 @@ class TestCutByRestriction:
             for d_bound in bounds:
                 Wt = truncated_wall(W, d_bound)
                 assert Wt is not W
-                again = _assemble(W.algebra, W.base_modules, W.base_maps, Wt.columns)
-                assert Wt.to_json() == again.to_json(), (name, d_bound)
+                again = reference_assemble(W.algebra, W.base_modules, W.base_maps, Wt.columns)
+                assert _dump(Wt) == _dump(again), (name, d_bound)
 
     def test_cut_solves_nothing(self, monkeypatch):
-        W = _exterior_staircase((4, 3, 2))
-
+        # neither the build nor the cut builds a Hom basis or solves over one
         def refuse(*args, **kwargs):
-            raise AssertionError("the cut solved a lift")
+            raise AssertionError("a lift went through a Hom basis")
 
-        monkeypatch.setattr(wall_module, "solve_in_subspace", refuse)
+        monkeypatch.setattr(linalg, "solve_in_subspace", refuse)
         monkeypatch.setattr(wall_module, "module_hom_basis", refuse)
+        monkeypatch.setattr(wall_module, "_free_source_hom_basis", refuse)
+        monkeypatch.setattr(groupalg, "_free_source_hom_basis", refuse)
+        W = _exterior_staircase((4, 3, 2))
+        assert W.connecting
         for d_bound in range(2):
             assert verify_induction_identities(truncated_wall(W, d_bound)) == []
 
@@ -394,6 +442,20 @@ class TestExtViaWall:
         )
         # base: 0 -> (x) -> reg -> 0 resolves the one-dimensional quotient
         assert ext_via_wall(W, E, 2) == ext_dims(A, E, E, 2) == [1, 1, 1]
+
+    def test_cut_walls_match_direct(self):
+        # the cut tops are not free, so their Hom comes from the commutation
+        # kernel; the total complex still resolves the trivial line
+        for Q in (FiniteGroupTable.cyclic(2), FiniteGroupTable.symmetric3()):
+            A = AlgebraPresentation.group_algebra(Q)
+            reg = ModulePresentation.regular(A)
+            triv = ModulePresentation.one_dimensional(A, [1] * Q.order)
+            ideal, incl = augmentation_ideal(A)
+            W = build_wall([free_resolution(A, reg, 3), free_resolution(A, ideal, 3)], [incl])
+            for d_bound in range(3):
+                Wt = truncated_wall(W, d_bound)
+                assert any(r is None for col in Wt.columns for r in col.free_ranks)
+                assert ext_via_wall(Wt, triv, 2) == ext_dims(A, triv, triv, 2) == [1, 0, 0]
 
     def test_rejects_non_resolution_base(self):
         A, E = _exterior_E()

@@ -1,25 +1,28 @@
 """Shared constructions for the wall tests: small base complexes over group
 algebras whose differentials are built from elementary blocks, the
-randomized generator the acceptance run draws from, and a two-column wall
-over Lambda(V) x| S3."""
+randomized generator the acceptance run draws from, a two-column wall
+over Lambda(V) x| S3, and the lift loop by the basis route that the
+builder's generator-image solve is tested against."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from wallforge.cli_groupalg import _exterior_extension, _ext_group_action
+from wallforge.complexes import CertificateError
 from wallforge.groupalg import (
     AlgebraPresentation,
     FiniteGroupTable,
     ModulePresentation,
+    _free_source_hom_basis,
     averaging_idempotent,
     crossed_module,
     crossed_product,
     free_resolution,
     module_direct_sum,
 )
-from wallforge.linalg import RationalMatrix, rank_kernel_image, solve_matrix
-from wallforge.wall import build_wall
+from wallforge.linalg import RationalMatrix, rank_kernel_image, solve_in_subspace, solve_matrix
+from wallforge.wall import WallAssembly, build_wall, module_hom_basis
 
 
 def regular_sign_values(Q: FiniteGroupTable) -> list:
@@ -187,9 +190,10 @@ def build_random_wall(rng, Q: FiniteGroupTable, max_len: int = 4):
     return build_wall(resolutions, maps), d_bound
 
 
-def exterior_s3_wall(length: int):
-    """A two-column wall over B = Lambda(V) x| S3, with V = Q**2 and S3 =
-    GL2(F_2) acting as in ``ext-crossed --rank 2 --group S3``.
+def exterior_s3_inputs(length: int):
+    """The resolutions and base maps of a two-column wall over
+    B = Lambda(V) x| S3, with V = Q**2 and S3 = GL2(F_2) acting as in
+    ``ext-crossed --rank 2 --group S3``.
 
     The trivial line sits in degree 0 and the permutation module on the
     three lines of F_2**2 in degree 1, joined by the sum map [1 1 1];
@@ -212,4 +216,47 @@ def exterior_s3_wall(length: int):
     trivial = crossed_module(cp, through_augmentation(1), [RationalMatrix.identity(1)] * Q.order)
     permutation = crossed_module(cp, through_augmentation(3), lines)
     res = [free_resolution(cp.algebra, M, length) for M in (trivial, permutation)]
-    return build_wall(res, [RationalMatrix([[1, 1, 1]])])
+    return res, [RationalMatrix([[1, 1, 1]])]
+
+
+def exterior_s3_wall(length: int):
+    return build_wall(*exterior_s3_inputs(length))
+
+
+def reference_assemble(algebra, base_modules, base_maps, columns) -> WallAssembly:
+    """The lift loop by the basis route, on free or cut columns.
+
+    Each connecting map is the constrained solve (``solve_in_subspace``)
+    over a basis of all the module maps between its two spots: the
+    (generator, target vector) basis out of a free spot, the commutation
+    kernel (``module_hom_basis``) out of a cut top.  The spots, the order
+    and the obstructions are the builder's, so on free columns this must
+    agree with ``build_wall`` byte for byte.
+    """
+    W = WallAssembly(algebra, base_modules, base_maps, columns, {})
+    for n in range(1, W.top_degree() + 1):
+        for k in range(1, min(n, W.q_max) + 1):
+            for q in range(k, min(n, W.q_max) + 1):
+                j = n - q
+                col = columns[q]
+                if j > col.length or col.dim(j) == 0:
+                    continue
+                obstruction = RationalMatrix.zeros(W.spot_dim(q - k, j + k - 2), col.dim(j))
+                for h in range(k):
+                    obstruction = obstruction + W.map(k - h, q - h, j + h - 1) @ W.map(h, q, j)
+                tgt_dim = W.spot_dim(q - k, j + k - 1)
+                if tgt_dim == 0:
+                    if not obstruction.is_zero():
+                        raise CertificateError(f"no room for the lift at (q={q}, j={j}, k={k})")
+                    continue
+                tgt_acts = columns[q - k].actions[j + k - 1]
+                if col.free_ranks[j] is None:
+                    basis = module_hom_basis(algebra, col.actions[j], col.dim(j), tgt_acts, tgt_dim)
+                else:
+                    basis = _free_source_hom_basis(col.free_ranks[j], tgt_acts, tgt_dim)
+                lift = solve_in_subspace(W.map(0, q - k, j + k - 1), -obstruction, basis)
+                if lift is None:
+                    raise CertificateError(f"no module-linear lift at (q={q}, j={j}, k={k})")
+                if not lift.is_zero():
+                    W.connecting[(k, q, j)] = lift
+    return W
