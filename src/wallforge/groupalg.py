@@ -616,23 +616,15 @@ class FreeResolution:
         return ChainComplex(dims, diffs)
 
     def algebra_entries(self, n: int) -> List[List[tuple]]:
-        """The A-valued matrix (a_{tu}) of d_n, recovered from the blocks.
+        """The A-valued matrix (a_{tu}) of d_n, read off the generator images.
 
-        Block (t, u) is right multiplication by a_{tu}, so a_{tu} is the
-        block applied to the unit: only the unit's columns are read.
+        Block (t, u) is right multiplication by a_{tu}, so slot t of the
+        image of generator u is a_{tu}.
         """
         da = self.algebra.dim
-        r_tgt = self.ranks[n - 1] if n - 1 < len(self.ranks) else 0
-        r_src = self.ranks[n] if n < len(self.ranks) else 0
-        unit = {s: c for s, c in enumerate(self.algebra.unit) if c}
-        out = [[[0] * da for _ in range(r_src)] for _ in range(r_tgt)]
-        for i, j, x in self.complex.diff(n).nonzero_entries():
-            u, s = divmod(j, da)
-            c = unit.get(s)
-            if c is not None:
-                t, k = divmod(i, da)
-                out[t][u][k] += c * x
-        return [[tuple(entry) for entry in row] for row in out]
+        images = self.complex.diff(n) @ _free_generators(self.algebra, self.ranks[n])
+        cols = images.columns()
+        return [[col[t * da : (t + 1) * da] for col in cols] for t in range(images.nrows // da)]
 
 
 def _left_mult_matrices(A: AlgebraPresentation) -> List[RationalMatrix]:
@@ -754,43 +746,29 @@ def free_resolution(
     if not _same_algebra(M.algebra, A):
         raise ValueError("the resolved module lives over a different algebra")
     da = A.dim
-    std = [tuple(1 if k == i else 0 for k in range(M.dim)) for i in range(M.dim)]
-    gens0 = _greedy_module_generators(
-        lambda v: [m.apply(v) for m in M.actions], std, M.dim
-    )
-    r0 = len(gens0)
-    aug_cols = [w for _, images in gens0 for w in images]
-    augmentation = (
-        RationalMatrix.from_columns(aug_cols, nrows=M.dim)
-        if aug_cols
-        else RationalMatrix.zeros(M.dim, 0)
-    )
-    ranks = [r0]
-    dims = {0: r0 * da}
-    diffs: Dict[int, RationalMatrix] = {}
-    current = augmentation
     left = _left_mult_matrices(A)
-    for n in range(1, length + 1):
-        prev_rank = ranks[-1]
-        prev_dim = prev_rank * da
-        if prev_dim == 0:
-            ranks.append(0)
-            dims[n] = 0
-            continue
-        _, kernel, _ = rank_kernel_image(current)
-        gens = _greedy_module_generators(
-            lambda v: _free_images(left, v), kernel, prev_dim
-        )
-        rn = len(gens)
-        ranks.append(rn)
-        dims[n] = rn * da
-        if rn == 0:
-            current = RationalMatrix.zeros(prev_dim, 0)
-            continue
+    # degree n covers the kernel of the previous cover, inside a module of
+    # dimension ``ambient`` on which ``act`` lists the algebra basis images
+    ambient = M.dim
+    candidates = [tuple(1 if k == i else 0 for k in range(ambient)) for i in range(ambient)]
+    act = lambda v: [m.apply(v) for m in M.actions]
+    ranks = []
+    dims = {}
+    diffs: Dict[int, RationalMatrix] = {}
+    for n in range(length + 1):
+        gens = _greedy_module_generators(act, candidates, ambient)
         cols = [w for _, images in gens for w in images]
-        d_n = RationalMatrix.from_columns(cols, nrows=prev_dim)
-        diffs[n] = d_n
-        current = d_n
+        cover = RationalMatrix.from_columns(cols, nrows=ambient)
+        ranks.append(len(gens))
+        dims[n] = len(gens) * da
+        if n:
+            diffs[n] = cover
+        else:
+            augmentation = cover
+        if n < length:
+            _, candidates, _ = rank_kernel_image(cover)
+            ambient = dims[n]
+            act = lambda v: _free_images(left, v)
     cx = ChainComplex(dims, diffs)
     return FreeResolution(
         algebra=A, module=M, complex=cx, ranks=tuple(ranks), augmentation=augmentation
@@ -874,6 +852,10 @@ def ext_dims(
         raise ValueError("n_max must be nonnegative")
     if res is None:
         res = free_resolution(A, M, n_max + 1)
+    elif not _same_algebra(res.algebra, A):
+        raise ValueError("the prebuilt resolution lives over a different algebra")
+    elif res.module.actions != M.actions:
+        raise ValueError("the prebuilt resolution resolves a different module")
     elif len(res.ranks) < n_max + 2:
         raise ValueError(
             f"a resolution of length {len(res.ranks) - 1} is too short, need {n_max + 1}"

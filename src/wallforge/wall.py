@@ -27,7 +27,11 @@ One pass over the spots (q, j >= -1) validates the builder's input, and
 A canonical cut of the columns at a bound restricts the assembly instead
 of lifting again: each map between rows at most the bound is read through
 the quotient's projection and inclusion at a cut top.  The lifts are the
-same, since d(0) out of a complete top is injective.
+same, since d(0) out of a complete top is injective.  Every spot of an
+uncut assembly is free, so its total complex is a free resolution of H_0 of
+the base through degree min_q (q + L_q) - 1, L_q the length of column q,
+when the base is exact in positive degrees; ``ext_via_wall`` reads Ext off
+it.  A cut top is not free, so a cut assembly is not such a resolution.
 
 Column lengths need to leave room for the maps to land: the receiving
 column q - k must extend to degree j + k - 1 whenever X[q, j] is
@@ -43,8 +47,6 @@ from typing import Dict, List, Sequence, Tuple
 from wallforge.complexes import (
     CertificateError,
     ChainComplex,
-    cohomology_dims,
-    hom_constrained,
     homology_dims,
     truncate_canonical,
 )
@@ -55,7 +57,6 @@ from wallforge.groupalg import (
     _free_action_matrices,
     _free_generators,
     _free_map,
-    _free_source_hom_basis,
     _left_mult_matrices,
     _same_algebra,
     ext_dims,
@@ -259,8 +260,8 @@ def module_hom_basis(
 
     Solves the commutation constraints X rho_M(b) = rho_N(b) X for every
     algebra basis element b, as one kernel computation on the flattened
-    unknown.  Used for the cut tops of a truncated assembly, which are not
-    free, so the cheap generator-by-generator basis is unavailable.
+    unknown.  No route of the package calls it: it is the Hom out of a cut
+    top in the tests' reference lift loop, and a name the bench tracer wraps.
     """
     if src_dim == 0 or tgt_dim == 0:
         return []
@@ -667,56 +668,55 @@ def truncated_wall(W: WallAssembly, d_bound: int) -> WallAssembly:
 
 
 def ext_via_wall(W: WallAssembly, N: ModulePresentation, n_max: int) -> List[int]:
-    """Ext dimensions computed as cohomology of maps from the total complex.
+    """Ext^n(V, N) for n <= n_max, with the total complex T as the free
+    resolution of V, the degree-0 homology of the base.
 
-    Requires the base complex to be exact in positive degrees, so the total
-    complex resolves V = H_0 of the base.  The answer is checked against an
-    independently built direct resolution of V; a mismatch raises.  Keep
-    n_max below the top total degree when a column is a raw initial segment
-    of a longer resolution, or truncate the assembly first; past that edge
-    the stored complex simply ends and its cohomology is meaningless.  With
-    a truncated assembly agreement holds whenever Ext vanishes beyond the
-    truncation range (true in the semisimple configurations this runs on).
+    Every spot of an uncut assembly is free and laid out generator-major, so
+    T_n is B**R_n, R_n the sum of the free ranks of its spots in
+    ``_spot_offsets`` order, and d_T is module-linear.  The augmentation is
+    eps out of spot (0, 0), followed by the projection onto V when V is a
+    quotient of the degree-0 base module.  ``ext_dims`` reads Ext off this
+    resolution, and a direct resolution of V cross-checks it; a mismatch
+    raises ``CertificateError``.
+
+    T resolves V through degree min_q (q + L_q) - 1, L_q the length of
+    column q, when the base is exact in positive degrees: past that edge a
+    column's top kernel, or the base's homology, lands in T.  An n_max at or
+    past the first degree where augmented T has homology is a ``ValueError``
+    that names the degree.  A cut top is not free, so an assembly from
+    ``truncated_wall`` is refused: pass the assembly from before the cut.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if not _same_algebra(N.algebra, W.algebra):
         raise ValueError("coefficient module lives over a different algebra")
-    S = base_complex(W)
-    hom = homology_dims(S)
-    for qd in range(1, W.q_max + 1):
-        if hom.get(qd, 0):
+    for q, col in enumerate(W.columns):
+        if None in col.free_ranks:
             raise ValueError(
-                f"base complex is not a resolution: homology {hom.get(qd)} in degree {qd}"
+                f"column {q} has a cut top, which is not free; pass the assembly "
+                "from before truncated_wall"
             )
-    if W.q_max == 0 or S.hi == 0:
-        V = W.base_modules[0]
-    else:
-        _, data = truncate_canonical(S, 0)
-        if data is None:
-            V = W.base_modules[0]
-        else:
-            acts = [
-                data.projection @ act @ data.inclusion
-                for act in W.base_modules[0].actions
-            ]
-            V = ModulePresentation(W.algebra, acts)
-    T = total_complex(W)
-    # each spot's module maps into N, placed at the spot's columns
-    hom_bases = {n: [] for n in range(T.hi + 1)}
-    for n in hom_bases:
-        for q, j, off in _spot_offsets(W, n, 0):
-            col = W.column(q)
-            if col.free_ranks[j] is None:  # a cut top
-                spot = module_hom_basis(W.algebra, col.actions[j], col.dim(j), N.actions, N.dim)
-            else:
-                spot = _free_source_hom_basis(col.free_ranks[j], N.actions, N.dim)
-            hom_bases[n] += [
-                RationalMatrix.from_blocks(N.dim, T.dim(n), [(0, off, B)]) for B in spot
-            ]
-    cochain = hom_constrained(T, hom_bases, N.dim)
-    coh = cohomology_dims(cochain)
-    dims = [coh.get(n, 0) for n in range(n_max + 1)]
+    V = W.base_modules[0]
+    augmentation = W.map(0, 0, 0)
+    _, data = truncate_canonical(base_complex(W), 0)
+    if data is not None:
+        V = ModulePresentation(
+            W.algebra, [data.projection @ act @ data.inclusion for act in V.actions]
+        )
+        augmentation = data.projection @ augmentation
+    ranks = tuple(
+        sum(W.column(q).free_ranks[j] for q, j, _ in _spot_offsets(W, n, 0))
+        for n in range(W.top_degree() + 1)
+    )
+    res = FreeResolution(W.algebra, V, total_complex(W), ranks, augmentation)
+    hom = homology_dims(res.augmented())
+    for n in range(-1, n_max + 1):
+        if hom.get(n, 0):
+            raise ValueError(
+                f"the total complex is no resolution through n_max {n_max}: augmented, "
+                f"it has homology {hom[n]} in degree {n}"
+            )
+    dims = ext_dims(W.algebra, V, N, n_max, res=res)
     direct = ext_dims(W.algebra, V, N, n_max)
     if dims != direct:
         raise CertificateError(

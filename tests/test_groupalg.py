@@ -278,6 +278,21 @@ class TestExt:
         with pytest.raises(ValueError, match="too short"):
             ext_dims(A, E, E, 4, res=res)
 
+    def test_prebuilt_resolution_of_another_module_or_algebra_is_refused(self):
+        # over Lambda(1), E's resolution would give Ext(E, E) = [1, 1, 1, 1]
+        # in place of Ext(reg, E) = [1, 0, 0, 0]
+        A = AlgebraPresentation.exterior_algebra(1)
+        E = ModulePresentation.one_dimensional(A, A.augmentation_values())
+        reg = ModulePresentation.regular(A)
+        res = free_resolution(A, E, 4)
+        assert ext_dims(A, reg, E, 3) == [1, 0, 0, 0]
+        with pytest.raises(ValueError, match="resolves a different module"):
+            ext_dims(A, reg, E, 3, res=res)
+        # E[Z/2] has Lambda(1)'s dimension, but not its products
+        EZ2 = AlgebraPresentation.group_algebra(FiniteGroupTable.cyclic(2))
+        with pytest.raises(ValueError, match="lives over a different algebra"):
+            ext_dims(EZ2, E, E, 3, res=res)
+
     def test_two_routes_agree(self):
         """The resolution route and the constrained-hom route must match."""
         A = AlgebraPresentation.exterior_algebra(2)

@@ -17,8 +17,9 @@ from wallforge.groupalg import (
     averaging_idempotent,
     ext_dims,
     free_resolution,
+    module_direct_sum,
 )
-from wallforge import groupalg, linalg
+from wallforge import complexes, groupalg, linalg
 from wallforge import wall as wall_module
 from wallforge.linalg import RationalMatrix
 from wallforge.wall import (
@@ -329,7 +330,6 @@ class TestCutByRestriction:
 
         monkeypatch.setattr(linalg, "solve_in_subspace", refuse)
         monkeypatch.setattr(wall_module, "module_hom_basis", refuse)
-        monkeypatch.setattr(wall_module, "_free_source_hom_basis", refuse)
         monkeypatch.setattr(groupalg, "_free_source_hom_basis", refuse)
         W = _exterior_staircase((4, 3, 2))
         assert W.connecting
@@ -429,7 +429,15 @@ class TestExtViaWall:
         W = build_wall([free_resolution(A, E, 4)], [])
         assert ext_via_wall(W, E, 2) == [1, 1, 1]
 
-    def test_two_column_resolution_base(self):
+    def test_two_column_resolution_base(self, monkeypatch):
+        # T is read as a free resolution: no Hom basis is built, whichever
+        # module a Hom-basis route would be reached through
+        def refuse(*args, **kwargs):
+            raise AssertionError("ext_via_wall built a Hom basis")
+
+        for module in (wall_module, groupalg, complexes):
+            for name in ("module_hom_basis", "_free_source_hom_basis", "hom_constrained"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
         A, E = _exterior_E()
         reg = ModulePresentation.regular(A)
         ideal_mod = ModulePresentation(
@@ -443,19 +451,34 @@ class TestExtViaWall:
         # base: 0 -> (x) -> reg -> 0 resolves the one-dimensional quotient
         assert ext_via_wall(W, E, 2) == ext_dims(A, E, E, 2) == [1, 1, 1]
 
-    def test_cut_walls_match_direct(self):
-        # the cut tops are not free, so their Hom comes from the commutation
-        # kernel; the total complex still resolves the trivial line
+    def test_uncut_wall_matches_direct_and_cut_walls_are_refused(self):
+        # the uncut total complex resolves the trivial line through degree 2;
+        # a cut top is not free, so the cut assemblies are refused
         for Q in (FiniteGroupTable.cyclic(2), FiniteGroupTable.symmetric3()):
             A = AlgebraPresentation.group_algebra(Q)
             reg = ModulePresentation.regular(A)
             triv = ModulePresentation.one_dimensional(A, [1] * Q.order)
             ideal, incl = augmentation_ideal(A)
             W = build_wall([free_resolution(A, reg, 3), free_resolution(A, ideal, 3)], [incl])
+            assert ext_via_wall(W, triv, 2) == ext_dims(A, triv, triv, 2) == [1, 0, 0]
             for d_bound in range(3):
                 Wt = truncated_wall(W, d_bound)
                 assert any(r is None for col in Wt.columns for r in col.free_ranks)
-                assert ext_via_wall(Wt, triv, 2) == ext_dims(A, triv, triv, 2) == [1, 0, 0]
+                with pytest.raises(ValueError, match="from before truncated_wall"):
+                    ext_via_wall(Wt, triv, 2)
+
+    def test_n_max_past_the_exact_range_is_refused(self):
+        # base E (+) E <- E, the inclusion into the first summand; column 1
+        # stops at degree 2, so its top kernel gives H_3(T) = 1
+        A, E = _exterior_E()
+        W = build_wall(
+            [free_resolution(A, module_direct_sum([E, E]), 5), free_resolution(A, E, 2)],
+            [RationalMatrix([[1], [0]])],
+        )
+        assert homology_dims(total_complex(W))[3] == 1
+        assert ext_via_wall(W, E, 2) == ext_dims(A, E, E, 2) == [1, 1, 1]
+        with pytest.raises(ValueError, match="homology 1 in degree 3"):
+            ext_via_wall(W, E, 3)
 
     def test_rejects_non_resolution_base(self):
         A, E = _exterior_E()
