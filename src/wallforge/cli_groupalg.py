@@ -26,6 +26,7 @@ from wallforge.groupalg import (
     AlgebraPresentation,
     FiniteGroupTable,
     ModulePresentation,
+    _left_mult_matrices,
     crossed_ext_compare,
     crossed_module,
     crossed_product,
@@ -67,7 +68,7 @@ def _augmentation_ideal(
     functional = RationalMatrix([list(values)], ncols=A.dim)
     _, kernel, _ = rank_kernel_image(functional)
     incl = RationalMatrix.from_columns(kernel, nrows=A.dim)
-    moved = [A.left_mult_matrix(A.basis_vector(i)) @ incl for i in range(A.dim)]
+    moved = [L @ incl for L in _left_mult_matrices(A)]
     restricted = solve_matrix(incl, RationalMatrix.hstack(moved))
     if restricted is None:
         raise ValueError("augmentation kernel is not closed under the action")

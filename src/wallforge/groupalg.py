@@ -196,18 +196,6 @@ class FiniteGroupTable:
 
     # -- representations -----------------------------------------------------
 
-    def left_regular_matrices(self) -> List[RationalMatrix]:
-        """Permutation matrix of h -> g*h, one per element g."""
-        out = []
-        for g in range(self.order):
-            cols = []
-            for h in range(self.order):
-                col = [0] * self.order
-                col[self.mul(g, h)] = 1
-                cols.append(col)
-            out.append(RationalMatrix.from_columns(cols, nrows=self.order))
-        return out
-
     def representation_from_generators(
         self, generator_matrices: Dict[int, RationalMatrix]
     ) -> List[RationalMatrix]:
@@ -557,7 +545,7 @@ class ModulePresentation:
 
     @classmethod
     def regular(cls, A: AlgebraPresentation) -> "ModulePresentation":
-        return cls(A, [A.left_mult_matrix(A.basis_vector(i)) for i in range(A.dim)])
+        return cls(A, _left_mult_matrices(A))
 
     @classmethod
     def one_dimensional(cls, A: AlgebraPresentation, values: Sequence) -> "ModulePresentation":
@@ -636,8 +624,9 @@ def _left_mult_matrices(A: AlgebraPresentation) -> List[RationalMatrix]:
 def _free_action_matrices(left: Sequence[RationalMatrix], rank: int) -> List[RationalMatrix]:
     """Left action of each basis element on A**rank as an explicit block matrix.
 
-    ``left`` is ``_left_mult_matrices(A)``.  Only walls store these matrices;
-    resolutions act slot by slot through ``_free_images`` instead.
+    ``left`` is ``_left_mult_matrices(A)``.  Only wall dumps write these
+    matrices, and ``WallAssembly.actions`` derives them from a free spot's
+    rank; resolutions act slot by slot through ``_free_images`` instead.
     """
     return [RationalMatrix.block_diag([L] * rank) for L in left]
 

@@ -23,7 +23,10 @@ One builder sums the spots of rows j >= low: with low = 0 it gives the
 total complex, and with low = -1 the mapping cone of the augmentation onto
 the base, whose exactness certifies that the two have the same homology.
 One pass over the spots (q, j >= -1) validates the builder's input, and
-``wall_from_json`` re-checks every identity of a stored assembly.
+``wall_from_json`` re-checks every identity of a stored assembly.  A free
+spot is its rank: its dimension and actions are those of B**rank, derived
+by ``WallAssembly.actions`` rather than stored, and ``wall_from_json``
+refuses a dump whose stored ones differ.
 A canonical cut of the columns at a bound restricts the assembly instead
 of lifting again: each map between rows at most the bound is read through
 the quotient's projection and inclusion at a cut top.  The lifts are the
@@ -78,55 +81,34 @@ from wallforge.linalg import (
 class WallColumn:
     """One column of the assembly: a finite augmented resolution.
 
-    ``dims[j]`` is the vector-space dimension of the degree-j term,
-    ``free_ranks[j]`` its rank as a free module (None for spots that are
-    only modules, e.g. the top of a canonical truncation), ``actions[j]``
-    the action matrices of the algebra basis, ``diffs[j-1]`` the column
-    map into degree j-1, and ``augmentation`` the map from degree 0 onto
-    the resolved module.  ``WallAssembly.map`` reads them as d(0).
+    A free spot is its rank: ``free_ranks[j]`` is the rank of the degree-j
+    term, whose dimension and actions the algebra fixes
+    (``WallAssembly.actions``).  Only a cut top, the top of a canonical
+    truncation, is not free: its rank is None and ``top_actions`` holds its
+    action matrices.  ``diffs[j-1]`` is the column map into degree j-1 and
+    ``augmentation`` the map from degree 0 onto the resolved module; a
+    spot's dimension is the width of the map out of it.
+    ``WallAssembly.map`` reads them as d(0).
     """
 
-    dims: tuple
     free_ranks: tuple
-    actions: tuple
     diffs: tuple
     augmentation: RationalMatrix
+    top_actions: tuple = ()
 
     @property
     def length(self) -> int:
-        return len(self.dims) - 1
+        return len(self.free_ranks) - 1
 
     def dim(self, j: int) -> int:
-        return self.dims[j] if 0 <= j <= self.length else 0
+        if not 0 <= j <= self.length:
+            return 0
+        return (self.diffs[j - 1] if j else self.augmentation).ncols
 
     def complex(self) -> ChainComplex:
-        dims = {j: d for j, d in enumerate(self.dims)}
+        dims = {j: self.dim(j) for j in range(self.length + 1)}
         diffs = {j: self.diffs[j - 1] for j in range(1, self.length + 1)}
         return ChainComplex(dims, diffs)
-
-    def to_json(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "free_ranks": list(self.free_ranks),
-            "actions": [[m.to_json() for m in acts] for acts in self.actions],
-            "diffs": [m.to_json() for m in self.diffs],
-            "augmentation": self.augmentation.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "WallColumn":
-        return cls(
-            dims=tuple(int(d) for d in data["dims"]),
-            free_ranks=tuple(
-                None if r is None else int(r) for r in data["free_ranks"]
-            ),
-            actions=tuple(
-                tuple(RationalMatrix.from_json(m) for m in acts)
-                for acts in data["actions"]
-            ),
-            diffs=tuple(RationalMatrix.from_json(m) for m in data["diffs"]),
-            augmentation=RationalMatrix.from_json(data["augmentation"]),
-        )
 
 
 class WallAssembly:
@@ -138,7 +120,7 @@ class WallAssembly:
     zero-fills anything out of range so bookkeeping loops stay uniform.
     """
 
-    __slots__ = ("algebra", "base_modules", "base_maps", "columns", "connecting")
+    __slots__ = ("algebra", "base_modules", "base_maps", "columns", "connecting", "_free_actions")
 
     def __init__(
         self,
@@ -157,6 +139,7 @@ class WallAssembly:
         object.__setattr__(self, "base_maps", tuple(base_maps))
         object.__setattr__(self, "columns", tuple(columns))
         object.__setattr__(self, "connecting", dict(connecting))
+        object.__setattr__(self, "_free_actions", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("WallAssembly is immutable")
@@ -175,6 +158,21 @@ class WallAssembly:
         if j == -1:
             return self.base_modules[q].dim
         return self.columns[q].dim(j)
+
+    def actions(self, q: int, j: int) -> tuple:
+        """The action matrices of X[q, j]: the base module's in row -1,
+        ``top_actions`` at a cut top, and B's left multiplication on B**rank,
+        block-diagonal, at a free spot, built once per rank."""
+        if j == -1:
+            return self.base_modules[q].actions
+        col = self.columns[q]
+        rank = col.free_ranks[j]
+        if rank is None:
+            return col.top_actions
+        if rank not in self._free_actions:
+            left = _left_mult_matrices(self.algebra)
+            self._free_actions[rank] = tuple(_free_action_matrices(left, rank))
+        return self._free_actions[rank]
 
     def map(self, k: int, q: int, j: int) -> RationalMatrix:
         """d(k) out of X[q, j]; zero-shaped when absent or out of range.
@@ -215,7 +213,18 @@ class WallAssembly:
             "algebra": self.algebra.to_json(),
             "base_modules": [m.to_json() for m in self.base_modules],
             "base_maps": [m.to_json() for m in self.base_maps],
-            "columns": [col.to_json() for col in self.columns],
+            "columns": [
+                {
+                    "dims": [col.dim(j) for j in range(col.length + 1)],
+                    "free_ranks": list(col.free_ranks),
+                    "actions": [
+                        [m.to_json() for m in self.actions(q, j)] for j in range(col.length + 1)
+                    ],
+                    "diffs": [m.to_json() for m in col.diffs],
+                    "augmentation": col.augmentation.to_json(),
+                }
+                for q, col in enumerate(self.columns)
+            ],
             "connecting": entries,
             # a fixed field of the wallforge/1 format: the scan order of
             # every generator pick and lift, which is always first to last
@@ -225,19 +234,46 @@ class WallAssembly:
 
 def wall_from_json(data: dict) -> WallAssembly:
     """Rebuild an assembly from its dump; module axioms and every identity
-    are re-checked, and a failed identity raises ``CertificateError``."""
+    are re-checked, and a failed identity raises ``CertificateError``.
+
+    Only a column's top may be cut, and its stored actions must present a
+    module.  Every spot's stored dimension must be the width of the map out
+    of it, and a free spot's stored actions those of its rank; otherwise a
+    ``ValueError`` names the spot.
+    """
     algebra = AlgebraPresentation.from_json(data["algebra"])
-    base_modules = [
-        ModulePresentation(algebra, [RationalMatrix.from_json(m) for m in entry["actions"]])
-        for entry in data["base_modules"]
-    ]
+
+    def module(actions) -> ModulePresentation:
+        return ModulePresentation(algebra, [RationalMatrix.from_json(m) for m in actions])
+
+    base_modules = [module(entry["actions"]) for entry in data["base_modules"]]
     base_maps = [RationalMatrix.from_json(m) for m in data["base_maps"]]
-    columns = [WallColumn.from_json(c) for c in data["columns"]]
+    columns = []
+    for c in data["columns"]:
+        ranks = tuple(None if r is None else int(r) for r in c["free_ranks"])
+        top_actions = module(c["actions"][-1]).actions if ranks[-1] is None else ()
+        diffs = tuple(RationalMatrix.from_json(m) for m in c["diffs"])
+        aug = RationalMatrix.from_json(c["augmentation"])
+        columns.append(WallColumn(ranks, diffs, aug, top_actions))
     connecting = {
         (int(e["k"]), int(e["q"]), int(e["j"])): RationalMatrix.from_json(e["matrix"])
         for e in data["connecting"]
     }
     W = WallAssembly(algebra, base_modules, base_maps, columns, connecting)
+    for q, (col, c) in enumerate(zip(columns, data["columns"])):
+        if not len(c["dims"]) == len(c["actions"]) == col.length + 1:
+            raise ValueError(f"column {q} stores spots other than its {col.length + 1} ranks")
+        for j, (dim, stored) in enumerate(zip(c["dims"], c["actions"])):
+            if col.free_ranks[j] is None and j < col.length:
+                raise ValueError(f"column {q} degree {j} is cut below the top")
+            acts = W.actions(q, j)
+            if not int(dim) == acts[0].nrows == col.dim(j) or list(acts) != [
+                RationalMatrix.from_json(m) for m in stored
+            ]:
+                raise ValueError(
+                    f"column {q} degree {j} stores a dimension or actions that its rank "
+                    "and the map out of it do not give"
+                )
     failures = verify_induction_identities(W)
     if failures:
         raise CertificateError("; ".join(failures))
@@ -283,38 +319,27 @@ def module_hom_basis(
 
 def _validate_spots(W: WallAssembly) -> None:
     """One pass over the spots (q, j >= -1): a ``ValueError`` names the first
-    column spot with bad actions or rank, base module over another algebra,
-    map out of a spot within its column (d(0), or the base map in row -1)
-    of the wrong shape or not module-linear, base d o d, or inexact column.
+    free spot whose rank disagrees with its width, base module over another
+    algebra, map out of a spot within its column (d(0), or d(1) = -del in
+    row -1) of the wrong shape or not module-linear, base d o d, or inexact
+    column.
     """
     algebra = W.algebra
     for q, col in enumerate(W.columns):
-        base = W.base_modules[q]
-        if not _same_algebra(base.algebra, algebra):
+        if not _same_algebra(W.base_modules[q].algebra, algebra):
             raise ValueError(f"base module {q} lives over a different algebra")
         for j in range(-1 if q else 0, col.length + 1):
-            if j == -1:
-                name = f"base map {q}"
-                d = W.base_maps[q - 1]
-                acts = base.actions
-                want = (W.spot_dim(q - 1, -1), base.dim)
-                tgt_acts = W.base_modules[q - 1].actions
-            else:
-                acts = col.actions[j]
-                if len(acts) != algebra.dim:
-                    raise ValueError(f"column {q} degree {j} needs {algebra.dim} action matrices")
-                for m in acts:
-                    if m.shape != (col.dim(j), col.dim(j)):
-                        raise ValueError(f"column {q} degree {j} action has shape {m.shape}")
-                rank = col.free_ranks[j]
-                if rank is not None and rank * algebra.dim != col.dim(j):
-                    raise ValueError(f"column {q} degree {j} rank disagrees with its dimension")
-                name = f"column {q} differential {j}" if j else f"column {q} augmentation"
-                d = W.map(0, q, j)
-                want = (W.spot_dim(q, j - 1), col.dim(j))
-                tgt_acts = col.actions[j - 1] if j else base.actions
+            rank = col.free_ranks[j] if j >= 0 else None
+            if rank is not None and rank * algebra.dim != col.dim(j):
+                raise ValueError(f"column {q} degree {j} rank disagrees with its dimension")
+            k = int(j == -1)
+            kind = f"differential {j}" if j > 0 else "augmentation"
+            name = f"base map {q}" if k else f"column {q} {kind}"
+            d = W.map(k, q, j)
+            want = (W.spot_dim(q - k, j + k - 1), W.spot_dim(q, j))
             if d.shape != want:
                 raise ValueError(f"{name} has shape {d.shape}, expected {want}")
+            acts, tgt_acts = W.actions(q, j), W.actions(q - k, j + k - 1)
             for i in range(algebra.dim):
                 if d @ acts[i] != tgt_acts[i] @ d:
                     raise ValueError(f"{name} is not module-linear (basis element {i})")
@@ -336,20 +361,8 @@ def _validate_spots(W: WallAssembly) -> None:
 
 
 def _column_from_resolution(res: FreeResolution) -> WallColumn:
-    A = res.algebra
-    da = A.dim
-    ranks = res.ranks
-    dims = tuple(r * da for r in ranks)
-    left = _left_mult_matrices(A)
-    actions = tuple(tuple(_free_action_matrices(left, r)) for r in ranks)
-    diffs = tuple(res.complex.diff(j) for j in range(1, len(ranks)))
-    return WallColumn(
-        dims=dims,
-        free_ranks=tuple(ranks),
-        actions=actions,
-        diffs=diffs,
-        augmentation=res.augmentation,
-    )
+    diffs = tuple(res.complex.diff(j) for j in range(1, len(res.ranks)))
+    return WallColumn(free_ranks=tuple(res.ranks), diffs=diffs, augmentation=res.augmentation)
 
 
 def _assemble(
@@ -396,7 +409,7 @@ def _assemble(
                         "obstruction has no module-linear preimage under d(0)"
                     )
                 if not images.is_zero():
-                    connecting[(k, q, j)] = _free_map(columns[q - k].actions[j + k - 1], images)
+                    connecting[(k, q, j)] = _free_map(W.actions(q - k, j + k - 1), images)
 
     bad = verify_induction_identities(W)
     if bad:
@@ -634,17 +647,12 @@ def truncated_wall(W: WallAssembly, d_bound: int) -> WallAssembly:
                 f"column {q} stops at degree {col.length}, within the bound {d_bound}, "
                 "and its top map has a kernel; resolve it past the bound"
             )
-        top_rank = None if (q, top) in tops else col.free_ranks[top]
+        top_rank, top_actions = col.free_ranks[top], ()
+        if (q, top) in tops:
+            spot = (q, top)
+            top_rank, top_actions = None, tuple(cut(a, spot, spot) for a in W.actions(*spot))
         columns.append(
-            WallColumn(
-                dims=tuple(m.ncols for m in d0),
-                free_ranks=col.free_ranks[:top] + (top_rank,),
-                actions=tuple(
-                    tuple(cut(a, (q, j), (q, j)) for a in col.actions[j]) for j in range(top + 1)
-                ),
-                diffs=tuple(d0[1:]),
-                augmentation=d0[0],
-            )
+            WallColumn(col.free_ranks[:top] + (top_rank,), tuple(d0[1:]), d0[0], top_actions)
         )
     if all(col.length <= d_bound for col in W.columns):
         return W

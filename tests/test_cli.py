@@ -22,6 +22,7 @@ from wallforge.lie import LieAlgebra
 from wallforge.linalg import RationalMatrix
 
 from test_golden import _argvs
+from wall_cases import recoordinatize_degree_0
 
 
 def _run(capsys, argv):
@@ -362,6 +363,22 @@ class TestWallBuild:
         code, out, _ = _run(capsys, ["verify-replay", str(path)])
         assert code == 2
         assert out.startswith(f"FAIL {path}: identity fails at (q=1, j=0, k=1)")
+
+    def test_replay_of_a_recoordinatized_free_spot_fails(self, capsys, tmp_path):
+        # E[Z/2]'s trivial line; its degree-0 free spot conjugated by
+        # [[1, 1], [1, -1]] keeps every identity and certificate
+        A = AlgebraPresentation.group_algebra(FiniteGroupTable.cyclic(2))
+        trivial = {"actions": [RationalMatrix.identity(1).to_json()] * 2}
+        job = _wall_job_file(
+            tmp_path, algebra=A.to_json(), modules=[trivial], maps=[], lengths=[3], truncate=None
+        )
+        dump = _run_json(capsys, ["wall-build", "--input", job])
+        recoordinatize_degree_0(dump["assembly"]["columns"][0])
+        path = tmp_path / "changed.json"
+        path.write_text(cli._render(dump))
+        code, out, _ = _run(capsys, ["verify-replay", str(path)])
+        assert code == 2
+        assert out.startswith(f"FAIL {path}: column 0 degree 0 stores")
 
     def test_replay_of_changed_truncated_betti_numbers_fails(self, capsys, tmp_path):
         from wallforge.cli_groupalg import _recheck_wall

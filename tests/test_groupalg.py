@@ -102,8 +102,9 @@ def test_averaging_idempotent_is_idempotent():
 
 
 def test_invariants_of_regular_representation():
-    Q = FiniteGroupTable.symmetric3()
-    fixed = invariants(Q.left_regular_matrices())
+    # the group algebra's left multiplications permute the group elements
+    A = AlgebraPresentation.group_algebra(FiniteGroupTable.symmetric3())
+    fixed = invariants(_left_mult_matrices(A))
     assert len(fixed) == 1
     v = fixed[0]
     assert all(x == v[0] for x in v)

@@ -6,6 +6,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from operator import setitem
 
 import pytest
 
@@ -44,6 +45,7 @@ from wall_cases import (
     exterior_s3_inputs,
     exterior_s3_wall,
     random_wall_case,
+    recoordinatize_degree_0,
     reference_assemble,
     regular_sign_values,
 )
@@ -179,22 +181,6 @@ def test_second_connecting_map_appears_over_exterior_algebra():
     assert any(
         k == 2 and not M.is_zero() for (k, q, j), M in W.connecting.items()
     )
-
-
-def test_wall_json_round_trip():
-    Q = FiniteGroupTable.cyclic(2)
-    A = AlgebraPresentation.group_algebra(Q)
-    reg = ModulePresentation.regular(A)
-    ideal, incl = augmentation_ideal(A)
-    W = build_wall(
-        [free_resolution(A, reg, 2), free_resolution(A, ideal, 2)], [incl]
-    )
-    again = wall_from_json(W.to_json())
-    assert verify_induction_identities(again) == []
-    assert again.connecting.keys() == W.connecting.keys()
-    for key, M in W.connecting.items():
-        assert again.connecting[key] == M
-    assert homology_dims(total_complex(again)) == homology_dims(total_complex(W))
 
 
 class TestBuildErrors:
@@ -360,14 +346,6 @@ _I3 = RationalMatrix.identity(3)
 # one fault each in the E[Z/2] wall of the sign line into the regular module,
 # and the message prefix naming the spot or map at fault
 _CORRUPTIONS = {
-    "action count": (
-        _in_column_1(lambda c: replace(c, actions=(c.actions[0][:1],) + c.actions[1:])),
-        "column 1 degree 0 needs 2 action matrices",
-    ),
-    "action shape": (
-        _in_column_1(lambda c: replace(c, actions=(c.actions[0], (_I3, _I3), c.actions[2]))),
-        "column 1 degree 1 action has shape (3, 3)",
-    ),
     "free rank": (
         _in_column_1(lambda c: replace(c, free_ranks=(1, 2, 1))),
         "column 1 degree 1 rank disagrees with its dimension",
@@ -403,8 +381,41 @@ _CORRUPTIONS = {
 }
 
 
+# one fault each in column 1 of the same wall's dump, cut at bound 1 where
+# the case says so, and the message prefix naming the spot at fault
+_DUMP_CORRUPTIONS = {
+    "action count": (False, lambda c: c["actions"][0].pop(), "column 1 degree 0 stores"),
+    "action shape": (
+        False,
+        lambda c: setitem(c["actions"][1], 1, _I3.to_json()),
+        "column 1 degree 1 stores",
+    ),
+    "dimension off by one": (
+        False,
+        lambda c: setitem(c["dims"], 2, c["dims"][2] + 1),
+        "column 1 degree 2 stores",
+    ),
+    "spot count": (
+        False,
+        lambda c: c["dims"].pop(),
+        "column 1 stores spots other than its 3 ranks",
+    ),
+    "no rank below the top": (
+        False,
+        lambda c: setitem(c["free_ranks"], 1, None),
+        "column 1 degree 1 is cut below the top",
+    ),
+    "cut top that is no module": (
+        True,
+        lambda c: setitem(c["actions"][1], 1, RationalMatrix([[2]]).to_json()),
+        "module axiom fails on basis pair (1,1)",
+    ),
+}
+
+
 class TestCorruptedSpots:
-    """Every fault in the builder's input is a ``ValueError`` naming its map."""
+    """Every fault in the builder's input, or in a stored spot, is a
+    ``ValueError`` naming its map or spot."""
 
     def _inputs(self):
         A = AlgebraPresentation.group_algebra(FiniteGroupTable.cyclic(2))
@@ -421,6 +432,27 @@ class TestCorruptedSpots:
         corrupt, message = _CORRUPTIONS[case]
         with pytest.raises(ValueError, match=re.escape(message)):
             _assemble(*corrupt(*self._inputs()))
+
+    @pytest.mark.parametrize("case", sorted(_DUMP_CORRUPTIONS))
+    def test_corrupted_dump_is_refused(self, case):
+        cut, corrupt, message = _DUMP_CORRUPTIONS[case]
+        W = _assemble(*self._inputs())
+        data = (truncated_wall(W, 1) if cut else W).to_json()
+        assert (data["columns"][1]["free_ranks"][-1] is None) == cut
+        wall_from_json(data)
+        corrupt(data["columns"][1])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            wall_from_json(data)
+
+    def test_recoordinatized_free_spot_is_refused(self):
+        # conjugating E[Z/2]'s degree-0 free spot keeps every identity, so
+        # only the derived actions tell it from the spot its rank gives
+        A = AlgebraPresentation.group_algebra(FiniteGroupTable.cyclic(2))
+        triv = ModulePresentation.one_dimensional(A, [1, 1])
+        data = build_wall([free_resolution(A, triv, 3)], []).to_json()
+        recoordinatize_degree_0(data["columns"][0])
+        with pytest.raises(ValueError, match="column 0 degree 0 stores"):
+            wall_from_json(data)
 
 
 class TestExtViaWall:
@@ -546,6 +578,13 @@ def _cone_cases():
             W, d_bound = build_random_wall(rng, Q, max_len=3)
             yield f"random wall {i} over Z{Q.order}", W
             yield f"random wall {i} over Z{Q.order}, cut", truncated_wall(W, d_bound)
+
+
+@pytest.mark.parametrize("W", [pytest.param(W, id=name) for name, W in _cone_cases()])
+def test_wall_json_round_trip(W):
+    # derived dims and actions are written, and cut tops read back, as stored
+    data = W.to_json()
+    assert wall_from_json(data).to_json() == data
 
 
 def test_rows_from_minus_one_are_the_cone_of_the_augmentation():

@@ -1,8 +1,9 @@
 """Shared constructions for the wall tests: small base complexes over group
 algebras whose differentials are built from elementary blocks, the
 randomized generator the acceptance run draws from, a two-column wall
-over Lambda(V) x| S3, and the lift loop by the basis route that the
-builder's generator-image solve is tested against."""
+over Lambda(V) x| S3, the lift loop by the basis route that the
+builder's generator-image solve is tested against, and a stored free spot
+re-coordinatized so that only its actions betray it."""
 
 from __future__ import annotations
 
@@ -249,9 +250,10 @@ def reference_assemble(algebra, base_modules, base_maps, columns) -> WallAssembl
                     if not obstruction.is_zero():
                         raise CertificateError(f"no room for the lift at (q={q}, j={j}, k={k})")
                     continue
-                tgt_acts = columns[q - k].actions[j + k - 1]
+                tgt_acts = W.actions(q - k, j + k - 1)
                 if col.free_ranks[j] is None:
-                    basis = module_hom_basis(algebra, col.actions[j], col.dim(j), tgt_acts, tgt_dim)
+                    src_acts = W.actions(q, j)
+                    basis = module_hom_basis(algebra, src_acts, col.dim(j), tgt_acts, tgt_dim)
                 else:
                     basis = _free_source_hom_basis(col.free_ranks[j], tgt_acts, tgt_dim)
                 lift = solve_in_subspace(W.map(0, q - k, j + k - 1), -obstruction, basis)
@@ -260,3 +262,19 @@ def reference_assemble(algebra, base_modules, base_maps, columns) -> WallAssembl
                 if not lift.is_zero():
                     W.connecting[(k, q, j)] = lift
     return W
+
+
+def recoordinatize_degree_0(column: dict) -> None:
+    """Conjugate the degree-0 spot of a stored column, free of rank 1 over a
+    two-dimensional algebra, by P = [[1, 1], [1, -1]], in place.
+
+    Its actions, the augmentation and d_1 change consistently, so every
+    identity of the assembly still holds, but the actions are no longer the
+    algebra's left multiplication.
+    """
+    P = RationalMatrix([[1, 1], [1, -1]])
+    P_inv = P.scale(Fraction(1, 2))  # P @ P = 2 I
+    read = RationalMatrix.from_json
+    column["actions"][0] = [(P_inv @ read(m) @ P).to_json() for m in column["actions"][0]]
+    column["augmentation"] = (read(column["augmentation"]) @ P).to_json()
+    column["diffs"][0] = (P_inv @ read(column["diffs"][0])).to_json()
