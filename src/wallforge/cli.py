@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Sequence
 
@@ -163,37 +164,87 @@ def _replay_check(data: dict, text: str, fresh: dict) -> None:
         )
 
 
+def _replay_one(path: str) -> tuple[str, str, str]:
+    """``(status, path, message)`` for one dump; status is ok, invalid or fail."""
+    try:
+        data, text = _load_json(path)
+        _replay_validate(data)
+    except ValueError as exc:
+        return ("invalid", path, str(exc))
+    kind = data["kind"]
+    try:
+        fresh = _family(kind).JOBS[kind](_RecordedInputs(data["inputs"]))
+    except _InputError as exc:
+        return ("invalid", path, str(exc))
+    except Exception as exc:
+        return ("fail", path, str(exc))
+    try:
+        _replay_check(data, text, fresh)
+    except Exception as exc:
+        return ("fail", path, str(exc))
+    return ("ok", path, "")
+
+
+def _envelope(path: str) -> tuple[str, int]:
+    """The kind and the length of a dump that passes ``_replay_validate``."""
+    data, text = _load_json(path)
+    _replay_validate(data)
+    return data["kind"], len(text)
+
+
+def _replay_all(paths: Sequence[str]) -> list[tuple[str, str, str]]:
+    """``_replay_one`` of every path, in order, over the CPUs this process may use.
+
+    With more than one worker, this process first reads and envelope-checks
+    every dump and imports the job module of each that passes, so the forked
+    workers of ``forkmap`` share those imports instead of each loading them;
+    a dump that fails the check is settled here and loads nothing.  The rest
+    are replayed largest file first, so the longest replays start early.  A
+    dump whose worker died fails.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(paths)) if hasattr(os, "fork") else 1
+    if workers <= 1:
+        return [_replay_one(path) for path in paths]
+    results: list = [None] * len(paths)
+    kinds, sizes = {}, {}
+    for i, path in enumerate(paths):
+        try:
+            kinds[i], sizes[i] = _envelope(path)
+        except ValueError as exc:
+            results[i] = ("invalid", path, str(exc))
+    # imported only once every parsed dump is garbage, so that the modules
+    # do not pin the parser's freed memory
+    for kind in sorted(set(kinds.values())):
+        try:
+            _family(kind)
+        except Exception:
+            pass  # the worker's own import fails the dump, as in the serial loop
+    todo = sorted(sizes, key=lambda i: -sizes[i])
+    if todo:
+        from wallforge.forkmap import forked_map
+
+        replayed = forked_map(lambda i: _replay_one(paths[i]), todo, workers)
+        for i, result in zip(todo, replayed):
+            if result is None:
+                result = ("fail", paths[i], "the worker replaying this dump died")
+            results[i] = tuple(result)
+    return results
+
+
 def verify_replay(paths: Sequence[str]) -> int:
     """Re-audit dumps; 0 all good, 1 malformed dump, 2 broken certificate.
 
     A dump is malformed when it cannot be read, lacks its envelope, or the
     job's own input checks refuse its recorded inputs: a missing field, a
     mistyped or out-of-range value.  Any other failure, including one from
-    deeper in the recomputation and a stored certificate that does not hold
-    or does not parse, breaks the certificate.
+    deeper in the recomputation, a stored certificate that does not hold or
+    does not parse, and a worker process that died replaying the dump,
+    breaks the certificate.  Dumps are replayed in parallel over the CPUs in
+    this process's affinity mask and reported in the order given.
     """
-
-    def work(path: str) -> tuple[str, str, str]:
-        try:
-            data, text = _load_json(path)
-            _replay_validate(data)
-        except ValueError as exc:
-            return ("invalid", path, str(exc))
-        kind = data["kind"]
-        try:
-            fresh = _family(kind).JOBS[kind](_RecordedInputs(data["inputs"]))
-        except _InputError as exc:
-            return ("invalid", path, str(exc))
-        except Exception as exc:
-            return ("fail", path, str(exc))
-        try:
-            _replay_check(data, text, fresh)
-        except Exception as exc:
-            return ("fail", path, str(exc))
-        return ("ok", path, "")
-
     code = 0
-    for status, path, message in map(work, paths):
+    for status, path, message in _replay_all(paths):
         if status == "ok":
             print(f"ok {path}")
         elif status == "invalid":

@@ -297,7 +297,7 @@ class AlgebraPresentation:
     both unit laws are checked on construction.
     """
 
-    __slots__ = ("dim", "products", "unit", "_terms")
+    __slots__ = ("dim", "products", "unit", "_terms", "_generators")
 
     def __init__(self, products: Sequence[Sequence[Sequence]], unit: Sequence):
         dim = len(products)
@@ -322,6 +322,7 @@ class AlgebraPresentation:
             for row in prods
         )
         object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_generators", None)
         self._validate()
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -358,6 +359,38 @@ class AlgebraPresentation:
                         )
                     if not same:
                         raise ValueError(f"associativity fails at triple ({i},{j},{k})")
+
+    def generators(self) -> tuple:
+        """Basis indices whose elements generate this algebra, found once.
+
+        Index i is picked, lowest first, when b_i is not in the span W of the
+        unit closed under left multiplication by the picks so far.  That W is
+        the subalgebra the picks generate, and the picking stops only when W
+        is all of A, so an identity of module maps that is multiplicative in
+        the algebra element holds on A once it holds on the unit and on these.
+        """
+        if self._generators is None:
+            span, found, picks, pending = SpanTracker(self.dim), [], [], []
+
+            def grow(v: tuple) -> None:
+                # a vector new to W is multiplied by every pick in turn
+                if span.add(v):
+                    found.append(v)
+                    pending.extend((g, v) for g in picks)
+
+            grow(self.unit)
+            for i in range(self.dim):
+                if span.contains(self.basis_vector(i)):
+                    continue
+                picks.append(i)
+                pending.extend((i, v) for v in found)
+                while pending:
+                    g, v = pending.pop()
+                    grow(self.multiply(self.basis_vector(g), v))
+            if span.rank != self.dim:  # pragma: no cover - every b_i is in W
+                raise ValueError("the picked basis elements do not generate the algebra")
+            object.__setattr__(self, "_generators", tuple(picks))
+        return self._generators
 
     def multiply(self, u: Sequence, v: Sequence) -> tuple:
         """The product u * v as a tuple of canonical scalars."""
@@ -525,10 +558,17 @@ class ModulePresentation:
         raise AttributeError("ModulePresentation is immutable")
 
     def _validate(self) -> None:
+        """The unit acts as the identity and b_g b_j acts as b_g then b_j, for
+        every algebra generator g and basis index j.
+
+        The a with a.(b.m) = (ab).m for all b and m form a subalgebra: they
+        contain the unit and are closed under sums and, by associativity of
+        A, products.  So the generators settle every basis pair.
+        """
         ident = RationalMatrix.identity(self.dim)
         if self.action_of(self.algebra.unit) != ident:
             raise ValueError("unit does not act as identity")
-        for i in range(self.algebra.dim):
+        for i in self.algebra.generators():
             for j in range(self.algebra.dim):
                 lhs = self.actions[i] @ self.actions[j]
                 rhs = self.action_of(self.algebra.products[i][j])

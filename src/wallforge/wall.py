@@ -238,8 +238,9 @@ def wall_from_json(data: dict) -> WallAssembly:
 
     Only a column's top may be cut, and its stored actions must present a
     module.  Every spot's stored dimension must be the width of the map out
-    of it, and a free spot's stored actions those of its rank; otherwise a
-    ``ValueError`` names the spot.
+    of it, and a free spot's stored actions those of its rank, compared as
+    the JSON that ``to_json`` writes, so a non-canonical entry is refused
+    too; otherwise a ``ValueError`` names the spot.
     """
     algebra = AlgebraPresentation.from_json(data["algebra"])
 
@@ -260,16 +261,21 @@ def wall_from_json(data: dict) -> WallAssembly:
         for e in data["connecting"]
     }
     W = WallAssembly(algebra, base_modules, base_maps, columns, connecting)
+    # the actions each spot must store, as JSON: once per free rank, and
+    # once per cut top
+    wanted: dict = {}
     for q, (col, c) in enumerate(zip(columns, data["columns"])):
         if not len(c["dims"]) == len(c["actions"]) == col.length + 1:
             raise ValueError(f"column {q} stores spots other than its {col.length + 1} ranks")
         for j, (dim, stored) in enumerate(zip(c["dims"], c["actions"])):
-            if col.free_ranks[j] is None and j < col.length:
+            rank = col.free_ranks[j]
+            if rank is None and j < col.length:
                 raise ValueError(f"column {q} degree {j} is cut below the top")
             acts = W.actions(q, j)
-            if not int(dim) == acts[0].nrows == col.dim(j) or list(acts) != [
-                RationalMatrix.from_json(m) for m in stored
-            ]:
+            key = (q, j) if rank is None else rank
+            if key not in wanted:
+                wanted[key] = [m.to_json() for m in acts]
+            if not int(dim) == acts[0].nrows == col.dim(j) or stored != wanted[key]:
                 raise ValueError(
                     f"column {q} degree {j} stores a dimension or actions that its rank "
                     "and the map out of it do not give"
@@ -323,8 +329,16 @@ def _validate_spots(W: WallAssembly) -> None:
     algebra, map out of a spot within its column (d(0), or d(1) = -del in
     row -1) of the wrong shape or not module-linear, base d o d, or inexact
     column.
+
+    Module-linearity is checked on the algebra's generators only.  That is
+    sound only because both ends of every map are known modules: a free
+    spot's actions are B's left multiplication, a base module and a stored
+    cut top are ``ModulePresentation``s, and ``truncated_wall`` gives a cut
+    top the quotient module's actions.  The a with d.a = a.d then form a
+    subalgebra.
     """
     algebra = W.algebra
+    generators = algebra.generators()
     for q, col in enumerate(W.columns):
         if not _same_algebra(W.base_modules[q].algebra, algebra):
             raise ValueError(f"base module {q} lives over a different algebra")
@@ -340,7 +354,7 @@ def _validate_spots(W: WallAssembly) -> None:
             if d.shape != want:
                 raise ValueError(f"{name} has shape {d.shape}, expected {want}")
             acts, tgt_acts = W.actions(q, j), W.actions(q - k, j + k - 1)
-            for i in range(algebra.dim):
+            for i in generators:
                 if d @ acts[i] != tgt_acts[i] @ d:
                     raise ValueError(f"{name} is not module-linear (basis element {i})")
         if q >= 2 and not (W.base_maps[q - 2] @ W.base_maps[q - 1]).is_zero():

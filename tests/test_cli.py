@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -728,17 +730,20 @@ class TestVerifyReplay:
 
     def test_each_dump_is_rendered_once(self, capsys, tmp_path, monkeypatch):
         paths = _make_dumps(tmp_path, capsys)
-        rendered = []
+        # a file, so that renders in forked replay workers count too
+        log = tmp_path / "rendered.log"
         original = cli._render
 
         def counted(dump):
-            rendered.append(dump["kind"])
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(dump["kind"] + "\n")
             return original(dump)
 
         monkeypatch.setattr(cli, "_render", counted)
         code, out, _ = _run(capsys, ["verify-replay", *map(str, paths.values())])
         assert code == 0 and out.count("ok ") == len(paths)
         # only the recomputed dump: the stored one is compared as the text read
+        rendered = log.read_text().splitlines()
         assert len(rendered) == len(paths)
 
     def test_reformatted_dump_is_judged_by_its_content(self, capsys, tmp_path):
@@ -853,6 +858,117 @@ class TestVerifyReplay:
                 escaped.append((name, code))
             escaped += [(name, variants[i]) for i, line in enumerate(lines) if line.startswith("ok ")]
         assert escaped == []
+
+
+def _mixed_batch(tmp_path, capsys):
+    """ok, FAIL and INVALID dumps interleaved; the failing ones are small."""
+    paths = _make_dumps(tmp_path, capsys)
+    data = json.loads(paths["tree"].read_text())
+    data["certificates"]["homology"] = [2, 0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    data = json.loads(paths["radius"].read_text())
+    del data["inputs"]["p"]
+    no_p = tmp_path / "no-p.json"
+    no_p.write_text(json.dumps(data))
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    files = [paths["demo"], bad, paths["radius"], empty, paths["norms"], no_p, paths["tree"]]
+    return [str(f) for f in files]
+
+
+def _with_cpus(monkeypatch, count):
+    """Let verify-replay see ``count`` CPUs in its affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _forks(monkeypatch):
+    """The pids of the children forked from here on."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="replay workers need os.fork")
+class TestReplayWorkers:
+    def test_workers_report_as_the_serial_order_does(self, capsys, tmp_path, monkeypatch):
+        files = _mixed_batch(tmp_path, capsys)
+        runs = []
+        for count in (1, 2, 4):
+            _with_cpus(monkeypatch, count)
+            runs.append(_run(capsys, ["verify-replay", *files]))
+        serial = runs[0]
+        assert runs[1] == runs[2] == serial
+        code, out, _ = serial
+        assert code == 2
+        verdicts = [line.split(" ", 1)[0] for line in out.splitlines()]
+        assert verdicts == ["ok", "FAIL", "ok", "INVALID", "ok", "INVALID", "ok"]
+
+    def test_a_worker_that_dies_fails_its_dump(self, capsys, tmp_path, monkeypatch):
+        files = [str(p) for p in _make_dumps(tmp_path, capsys).values()]
+        _with_cpus(monkeypatch, 2)
+        pids = _forks(monkeypatch)
+        parent = os.getpid()
+        died = tmp_path / "died"
+        replay_one = cli._replay_one
+
+        def dies_in_the_child(path):
+            if os.getpid() != parent:
+                died.write_text(path)
+                os._exit(7)
+            # hold the parent's first dump until the child has taken one
+            for _ in range(1000):
+                if died.exists():
+                    break
+                time.sleep(0.01)
+            return replay_one(path)
+
+        monkeypatch.setattr(cli, "_replay_one", dies_in_the_child)
+        code, out, _ = _run(capsys, ["verify-replay", *files])
+        assert code == 2
+        lines = out.splitlines()
+        assert [line.split(" ", 1)[1].split(":")[0] for line in lines] == files
+        assert [line for line in lines if not line.startswith("ok ")] == [
+            f"FAIL {died.read_text()}: the worker replaying this dump died"
+        ]
+        assert len(pids) == 1 and _reaped(pids[0])
+
+    def test_no_child_is_left_behind(self, capsys, tmp_path, monkeypatch):
+        files = _mixed_batch(tmp_path, capsys)
+        _with_cpus(monkeypatch, 3)
+        pids = _forks(monkeypatch)
+        code, _, _ = _run(capsys, ["verify-replay", *files])
+        assert code == 2
+        assert len(pids) == 2 and all(_reaped(pid) for pid in pids)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_replay_pinned_to_one_cpu_prints_the_same_bytes(self, capsys, tmp_path):
+        files = _mixed_batch(tmp_path, capsys)
+        argv = [sys.executable, "-m", "wallforge.cli", "verify-replay", *files]
+        cpu = min(os.sched_getaffinity(0))
+        pinned = subprocess.run(
+            argv, capture_output=True, preexec_fn=lambda: os.sched_setaffinity(0, {cpu})
+        )
+        free = subprocess.run(argv, capture_output=True)
+        assert pinned.returncode == free.returncode == 2, pinned.stderr + free.stderr
+        assert pinned.stdout == free.stdout
+        assert len(pinned.stdout.splitlines()) == len(files)
 
 
 class TestDeterminism:

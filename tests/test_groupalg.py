@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -538,3 +539,111 @@ def test_generators_are_greedy_and_generate():
         assert reached == set(range(G.order)), G
     assert FiniteGroupTable.cyclic(6).generators() == [1]
     assert FiniteGroupTable.symmetric3().generators() == [1, 3]
+
+
+def test_algebra_generators_are_greedy_and_generate():
+    G = FiniteGroupTable
+    picks = {
+        G.cyclic(2): (1,),
+        G.symmetric3(): (1, 3),
+        G.dihedral(4): (1, 4),
+        G.quaternion8(): (1, 2, 4),
+    }
+    for Q, want in picks.items():
+        assert AlgebraPresentation.group_algebra(Q).generators() == want
+    for A in _ALGEBRAS:
+        gens = A.generators()
+        assert gens == A.generators() and list(gens) == sorted(gens)
+        # words in the generators, applied to the unit, span the algebra
+        words = {A.unit}
+        frontier = [A.unit]
+        while frontier:
+            frontier = [A.multiply(A.basis_vector(g), w) for w in frontier for g in gens]
+            frontier = [w for w in frontier if w not in words]
+            words.update(frontier)
+        assert RationalMatrix.from_columns(sorted(words), nrows=A.dim).rank() == A.dim
+        # and no generator is a word in the ones picked before it
+        for n, g in enumerate(gens):
+            below = {A.unit}
+            frontier = [A.unit]
+            while frontier:
+                frontier = [A.multiply(A.basis_vector(h), w) for w in frontier for h in gens[:n]]
+                frontier = [w for w in frontier if w not in below]
+                below.update(frontier)
+            span = RationalMatrix.from_columns(sorted(below), nrows=A.dim)
+            grown = RationalMatrix.from_columns(sorted(below) + [A.basis_vector(g)], nrows=A.dim)
+            assert grown.rank() == span.rank() + 1
+
+
+def _full_module_check(A, actions):
+    """The former check on every basis pair, as the oracle.
+
+    Returns the message of the first failure, or None when the actions form
+    a module.
+    """
+
+    def action_of(u):
+        out = RationalMatrix.zeros(actions[0].nrows, actions[0].nrows)
+        for i, c in enumerate(u):
+            out = out + actions[i].scale(c)
+        return out
+
+    if action_of(A.unit) != RationalMatrix.identity(actions[0].nrows):
+        return "unit does not act as identity"
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if actions[i] @ actions[j] != action_of(A.products[i][j]):
+                return f"module axiom fails on basis pair ({i},{j})"
+    return None
+
+
+@st.composite
+def _perturbed_modules(draw):
+    """Action matrices of a module over one of the sample algebras, written in
+    other coordinates, with at most one entry of one matrix changed."""
+    A = _ALGEBRAS[draw(st.integers(0, len(_ALGEBRAS) - 1))]
+    summands = [ModulePresentation.regular(A)]
+    if A.augmentation_values() is not None:
+        summands.append(ModulePresentation.one_dimensional(A, A.augmentation_values()))
+    picked = draw(st.lists(st.sampled_from(summands), min_size=1, max_size=2))
+    actions = list(module_direct_sum(picked).actions)
+    n = actions[0].nrows
+    # conjugate by elementary matrices I + c E_ab, whose inverses are I - c E_ab
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if a != b:
+            c = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+            P = RationalMatrix.from_blocks(n, n, [(a, b, RationalMatrix([[c]]))])
+            I = RationalMatrix.identity(n)
+            actions = [(I - P) @ M @ (I + P) for M in actions]
+    if draw(st.booleans()):
+        i, r, c = draw(st.integers(0, A.dim - 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        delta = RationalMatrix.from_blocks(n, n, [(r, c, RationalMatrix([[draw(st.sampled_from([1, -1, 2]))]]))])
+        actions[i] = actions[i] + delta
+    return A, actions
+
+
+@given(_perturbed_modules())
+def test_generator_module_check_refuses_where_the_full_one_does(case):
+    A, actions = case
+    want = _full_module_check(A, actions)
+    try:
+        ModulePresentation(A, actions)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert (got is None) == (want is None), (got, want)
+    if want == "unit does not act as identity":
+        assert got == want
+
+
+def test_one_corrupted_action_entry_is_refused_by_both_checks():
+    # S3's generators are basis elements 1 and 3; element 2 is only reached
+    # through products, and changing its action must still be refused
+    A = AlgebraPresentation.group_algebra(FiniteGroupTable.symmetric3())
+    assert 2 not in A.generators()
+    actions = list(ModulePresentation.regular(A).actions)
+    actions[2] = actions[2] + RationalMatrix.from_blocks(6, 6, [(0, 0, RationalMatrix([[1]]))])
+    assert _full_module_check(A, actions) == "module axiom fails on basis pair (1,1)"
+    with pytest.raises(ValueError, match=re.escape("module axiom fails on basis pair (1,1)")):
+        ModulePresentation(A, actions)

@@ -28,6 +28,7 @@ from wallforge.wall import (
     _assemble,
     _column_from_resolution,
     _total,
+    _validate_spots,
     augmentation_quasi_iso,
     base_complex,
     build_wall,
@@ -390,6 +391,12 @@ _DUMP_CORRUPTIONS = {
         lambda c: setitem(c["actions"][1], 1, _I3.to_json()),
         "column 1 degree 1 stores",
     ),
+    # the same value as "1", so only the comparison as JSON refuses it
+    "non-canonical action entry": (
+        False,
+        lambda c: setitem(c["actions"][0][1]["entries"][0], 2, "2/2"),
+        "column 1 degree 0 stores",
+    ),
     "dimension off by one": (
         False,
         lambda c: setitem(c["dims"], 2, c["dims"][2] + 1),
@@ -443,6 +450,17 @@ class TestCorruptedSpots:
         corrupt(data["columns"][1])
         with pytest.raises(ValueError, match=re.escape(message)):
             wall_from_json(data)
+
+    def test_non_linear_map_out_of_a_cut_top_is_refused(self):
+        W = truncated_wall(_assemble(*self._inputs()), 1)
+        col = W.columns[1]
+        assert col.free_ranks == (1, None) and col.diffs[0] == RationalMatrix([[1], [1]])
+        # Z/2's generator swaps the free spot's coordinates and fixes the top
+        bad = replace(col, diffs=(RationalMatrix([[1], [0]]),))
+        W = WallAssembly(W.algebra, W.base_modules, W.base_maps, [W.columns[0], bad], {})
+        message = "column 1 differential 1 is not module-linear (basis element 1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _validate_spots(W)
 
     def test_recoordinatized_free_spot_is_refused(self):
         # conjugating E[Z/2]'s degree-0 free spot keeps every identity, so
@@ -578,6 +596,29 @@ def _cone_cases():
             W, d_bound = build_random_wall(rng, Q, max_len=3)
             yield f"random wall {i} over Z{Q.order}", W
             yield f"random wall {i} over Z{Q.order}, cut", truncated_wall(W, d_bound)
+
+
+def _has_cut_top(W):
+    return any(col.free_ranks[-1] is None for col in W.columns)
+
+
+@pytest.mark.parametrize(
+    "W", [pytest.param(W, id=name) for name, W in _cone_cases() if _has_cut_top(W)]
+)
+def test_generators_settle_linearity_at_cut_tops(W):
+    # _validate_spots checks module-linearity on the algebra's generators,
+    # which is sound only where both ends of a map are modules: the cut tops
+    # truncated_wall builds must be, and every basis element must then agree
+    A = W.algebra
+    for col in W.columns:
+        if col.free_ranks[-1] is None:
+            ModulePresentation(A, col.top_actions)
+    for q, col in enumerate(W.columns):
+        for j in range(-1 if q else 0, col.length + 1):
+            k = int(j == -1)
+            d = W.map(k, q, j)
+            acts, tgt_acts = W.actions(q, j), W.actions(q - k, j + k - 1)
+            assert all(d @ acts[i] == tgt_acts[i] @ d for i in range(A.dim))
 
 
 @pytest.mark.parametrize("W", [pytest.param(W, id=name) for name, W in _cone_cases()])
