@@ -18,8 +18,7 @@ Sign conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Dict, NamedTuple, Sequence
 
 from wallforge.linalg import (
     RationalMatrix,
@@ -149,11 +148,10 @@ class ChainComplex:
         return cls(dims, diffs, presentation=data.get("presentation", "chain"))
 
 
-@dataclass(frozen=True)
-class HomologyRecord:
+class HomologyRecord(NamedTuple):
     degree: int
     dim: int
-    representatives: tuple = field(default_factory=tuple)
+    representatives: tuple = ()
 
 
 def homology(C: ChainComplex, n: int) -> HomologyRecord:
@@ -272,8 +270,7 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     return ChainComplex(dims, diffs)
 
 
-@dataclass(frozen=True)
-class TruncationData:
+class TruncationData(NamedTuple):
     """How the top degree of a canonical truncation presents the quotient."""
 
     degree: int

@@ -18,10 +18,9 @@ algebra entry a_{tu}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from wallforge.complexes import (
     CertificateError,
@@ -619,8 +618,7 @@ def module_direct_sum(modules: Sequence[ModulePresentation]) -> ModulePresentati
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreeResolution:
+class FreeResolution(NamedTuple):
     """A free resolution realized as a vector-space chain complex.
 
     Degree n holds A**ranks[n], generator-major; ``complex`` carries the
@@ -965,8 +963,7 @@ def _action_violations(
     return out
 
 
-@dataclass(frozen=True)
-class CrossedProductAlgebra:
+class CrossedProductAlgebra(NamedTuple):
     """A (x) E[Q] with multiplication (a#q)(b#q') = a sigma_q(b) # qq'.
 
     Basis index q * dim(A) + i stands for b_i # q; the blocks realize the
@@ -1131,8 +1128,7 @@ def _koszul_side(
     return koszul_cochain_complex(N, rank, top), operators
 
 
-@dataclass(frozen=True)
-class CrossedCompareReport:
+class CrossedCompareReport(NamedTuple):
     lhs_dims: tuple  # Ext over the crossed product
     base_ext_dims: tuple  # Ext over A, before invariants
     invariant_dims: tuple  # Q-invariants of Ext over A

@@ -22,11 +22,11 @@ spot, so one exact solve on the obstruction's generator columns fixes it.
 One builder sums the spots of rows j >= low: with low = 0 it gives the
 total complex, and with low = -1 the mapping cone of the augmentation onto
 the base, whose exactness certifies that the two have the same homology.
-One pass over the spots (q, j >= -1) validates the builder's input, and
-``wall_from_json`` re-checks every identity of a stored assembly.  A free
-spot is its rank: its dimension and actions are those of B**rank, derived
-by ``WallAssembly.actions`` rather than stored, and ``wall_from_json``
-refuses a dump whose stored ones differ.
+One pass over the spots (q, j >= -1) validates the builder's input and
+every stored assembly, whose identities ``wall_from_json`` re-checks
+first.  A free spot is its rank: its dimension and actions are those of
+B**rank, derived by ``WallAssembly.actions`` rather than stored, and
+``wall_from_json`` refuses a dump whose stored ones differ.
 A canonical cut of the columns at a bound restricts the assembly instead
 of lifting again: each map between rows at most the bound is read through
 the quotient's projection and inclusion at a cut top.  The lifts are the
@@ -44,8 +44,7 @@ happen to vanish where there is no room.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from wallforge.complexes import (
     CertificateError,
@@ -77,8 +76,7 @@ from wallforge.linalg import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WallColumn:
+class WallColumn(NamedTuple):
     """One column of the assembly: a finite augmented resolution.
 
     A free spot is its rank: ``free_ranks[j]`` is the rank of the degree-j
@@ -240,7 +238,10 @@ def wall_from_json(data: dict) -> WallAssembly:
     module.  Every spot's stored dimension must be the width of the map out
     of it, and a free spot's stored actions those of its rank, compared as
     the JSON that ``to_json`` writes, so a non-canonical entry is refused
-    too; otherwise a ``ValueError`` names the spot.
+    too; otherwise a ``ValueError`` names the spot.  Once the identities
+    hold, ``_validate_spots`` refuses what they cannot see, such as a
+    column or base map that is not module-linear, with a ``ValueError``
+    naming the map.
     """
     algebra = AlgebraPresentation.from_json(data["algebra"])
 
@@ -283,6 +284,7 @@ def wall_from_json(data: dict) -> WallAssembly:
     failures = verify_induction_identities(W)
     if failures:
         raise CertificateError("; ".join(failures))
+    _validate_spots(W)
     return W
 
 
@@ -550,8 +552,7 @@ def total_complex(W: WallAssembly) -> ChainComplex:
     return _total(W, 0)
 
 
-@dataclass(frozen=True)
-class WallHomologyCertificate:
+class WallHomologyCertificate(NamedTuple):
     """Cone and homology bookkeeping for the augmentation comparison."""
 
     cone_homology: Dict[int, int]

@@ -98,6 +98,16 @@ def test_fresh_process_dump_and_replay(name, cold_runs):
     assert _wallforge_modules(replay_imported) == expected
 
 
+@pytest.mark.parametrize("name", ["wall-demo", "wall-build", "ext-crossed"])
+def test_group_algebra_processes_load_no_dataclasses(name, cold_runs):
+    # dataclasses costs several ms a process, mostly for the inspect, ast,
+    # dis and tokenize modules it pulls in; the group-algebra records are
+    # named tuples, so these jobs and their replays need none of them
+    _, (_, imported), (_, replay_imported) = cold_runs[name]
+    assert not {"dataclasses", "inspect"} & imported
+    assert not {"dataclasses", "inspect"} & replay_imported
+
+
 def test_no_process_imports_the_front_door_by_name(cold_runs):
     # a job module that imported wallforge.cli would run a second copy of the
     # front door next to the __main__ one

@@ -4,7 +4,6 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from operator import setitem
 
@@ -324,17 +323,20 @@ class TestCutByRestriction:
             assert verify_induction_identities(truncated_wall(W, d_bound)) == []
 
     def test_homology_at_the_bound_is_refused(self):
-        # a stored column with d_1 = 0 and d_2 = I passes every identity, but
-        # at bound 0 its cut top C_0 / im d_1 = C_0 keeps the kernel of eps
+        # a column with d_1 = 0 and d_2 = I passes every identity, but at
+        # bound 0 its cut top C_0 / im d_1 = C_0 keeps the kernel of eps;
+        # wall_from_json refuses such a column as inexact, so it is built here
         A, E = _exterior_E()
-        data = build_wall([free_resolution(A, E, 2)], []).to_json()
-        data["columns"][0]["diffs"] = [
-            RationalMatrix.zeros(2, 2).to_json(),
-            RationalMatrix.identity(2).to_json(),
-        ]
-        W = wall_from_json(data)
+        W = build_wall([free_resolution(A, E, 2)], [])
+        col = W.columns[0]._replace(
+            diffs=(RationalMatrix.zeros(2, 2), RationalMatrix.identity(2))
+        )
+        W = WallAssembly(W.algebra, W.base_modules, W.base_maps, [col], W.connecting)
+        assert verify_induction_identities(W) == []
         with pytest.raises(ValueError, match="column 0 has homology in degree 0, at the bound"):
             truncated_wall(W, 0)
+        with pytest.raises(ValueError, match="column 0 fails exactness at degree 0"):
+            wall_from_json(W.to_json())
 
 
 def _in_column_1(edit):
@@ -348,19 +350,21 @@ _I3 = RationalMatrix.identity(3)
 # and the message prefix naming the spot or map at fault
 _CORRUPTIONS = {
     "free rank": (
-        _in_column_1(lambda c: replace(c, free_ranks=(1, 2, 1))),
+        _in_column_1(lambda c: c._replace(free_ranks=(1, 2, 1))),
         "column 1 degree 1 rank disagrees with its dimension",
     ),
     "augmentation shape": (
-        _in_column_1(lambda c: replace(c, augmentation=RationalMatrix.zeros(2, 2))),
+        _in_column_1(lambda c: c._replace(augmentation=RationalMatrix.zeros(2, 2))),
         "column 1 augmentation has shape (2, 2)",
     ),
     "differential shape": (
-        _in_column_1(lambda c: replace(c, diffs=(RationalMatrix.zeros(3, 2), c.diffs[1]))),
+        _in_column_1(lambda c: c._replace(diffs=(RationalMatrix.zeros(3, 2), c.diffs[1]))),
         "column 1 differential 1 has shape (3, 2)",
     ),
     "non-linear differential": (
-        _in_column_1(lambda c: replace(c, diffs=(c.diffs[0], RationalMatrix([[1, 0], [0, 0]])))),
+        _in_column_1(
+            lambda c: c._replace(diffs=(c.diffs[0], RationalMatrix([[1, 0], [0, 0]])))
+        ),
         "column 1 differential 2 is not module-linear (basis element 1)",
     ),
     "non-linear base map": (
@@ -372,7 +376,7 @@ _CORRUPTIONS = {
         "base maps do not compose to zero at degree 2",
     ),
     "inexact column": (
-        _in_column_1(lambda c: replace(c, augmentation=RationalMatrix.zeros(1, 2))),
+        _in_column_1(lambda c: c._replace(augmentation=RationalMatrix.zeros(1, 2))),
         "column 1 fails exactness at degree -1",
     ),
     "base module over another algebra": (
@@ -456,11 +460,25 @@ class TestCorruptedSpots:
         col = W.columns[1]
         assert col.free_ranks == (1, None) and col.diffs[0] == RationalMatrix([[1], [1]])
         # Z/2's generator swaps the free spot's coordinates and fixes the top
-        bad = replace(col, diffs=(RationalMatrix([[1], [0]]),))
+        bad = col._replace(diffs=(RationalMatrix([[1], [0]]),))
         W = WallAssembly(W.algebra, W.base_modules, W.base_maps, [W.columns[0], bad], {})
         message = "column 1 differential 1 is not module-linear (basis element 1)"
         with pytest.raises(ValueError, match=re.escape(message)):
             _validate_spots(W)
+
+    def test_stored_non_linear_base_map_is_refused(self):
+        # P = diag(1, 2) on the regular module after the base map and after
+        # the connecting map into column 0 keeps every identity, since
+        # column 0's augmentation is the identity, but P is not Z/2-linear
+        W = _assemble(*self._inputs())
+        P = RationalMatrix([[1, 0], [0, 2]])
+        data = W.to_json()
+        data["base_maps"][0] = (P @ W.base_maps[0]).to_json()
+        entry = next(e for e in data["connecting"] if (e["k"], e["q"], e["j"]) == (1, 1, 0))
+        entry["matrix"] = (P @ W.connecting[(1, 1, 0)]).to_json()
+        message = "base map 1 is not module-linear (basis element 1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            wall_from_json(data)
 
     def test_recoordinatized_free_spot_is_refused(self):
         # conjugating E[Z/2]'s degree-0 free spot keeps every identity, so
@@ -671,7 +689,7 @@ class TestStoredAssemblyEdits:
         col = W.columns[1]
         aug = col.augmentation + RationalMatrix([[0, 1]])
         bad = verify_induction_identities(
-            self._edited(W, columns=(W.columns[0], replace(col, augmentation=aug)))
+            self._edited(W, columns=(W.columns[0], col._replace(augmentation=aug)))
         )
         assert bad == [
             "identity fails at (q=1, j=0, k=1)",
@@ -682,7 +700,7 @@ class TestStoredAssemblyEdits:
         A, E = _exterior_E()
         W = build_wall([free_resolution(A, E, 2)], [])
         col = W.columns[0]
-        broken = replace(col, diffs=(col.diffs[0], RationalMatrix.identity(2)))
+        broken = col._replace(diffs=(col.diffs[0], RationalMatrix.identity(2)))
         bad = verify_induction_identities(self._edited(W, columns=(broken,)))
         assert bad == ["identity fails at (q=0, j=2, k=0)"]
 
