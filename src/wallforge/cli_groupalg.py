@@ -11,7 +11,6 @@ never loads it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from wallforge.cli_common import (
     SCHEMA,
@@ -30,6 +29,7 @@ from wallforge.groupalg import (
     crossed_ext_compare,
     crossed_module,
     crossed_product,
+    exterior_subsets,
     free_resolution,
 )
 from wallforge.linalg import RationalMatrix, rank_kernel_image, solve_matrix
@@ -236,10 +236,7 @@ def _ext_group_action(
 
 def _exterior_extension(rank: int, m: RationalMatrix) -> RationalMatrix:
     """Extend a substitution of the generators to the subset basis by minors."""
-    subsets = sorted(
-        [s for r in range(rank + 1) for s in combinations(range(rank), r)],
-        key=lambda s: (len(s), s),
-    )
+    subsets = exterior_subsets(rank)
     grid = [[Fraction(0)] * len(subsets) for _ in subsets]
     for b, S in enumerate(subsets):
         for a, T in enumerate(subsets):

@@ -239,9 +239,9 @@ def wall_from_json(data: dict) -> WallAssembly:
     of it, and a free spot's stored actions those of its rank, compared as
     the JSON that ``to_json`` writes, so a non-canonical entry is refused
     too; otherwise a ``ValueError`` names the spot.  Once the identities
-    hold, ``_validate_spots`` refuses what they cannot see, such as a
-    column or base map that is not module-linear, with a ``ValueError``
-    naming the map.
+    hold, ``_validate_spots`` refuses what they cannot see, such as a map
+    that is not module-linear or a connecting map whose key joins no two
+    spots, with a ``ValueError`` naming the map.
     """
     algebra = AlgebraPresentation.from_json(data["algebra"])
 
@@ -327,10 +327,10 @@ def module_hom_basis(
 
 def _validate_spots(W: WallAssembly) -> None:
     """One pass over the spots (q, j >= -1): a ``ValueError`` names the first
-    free spot whose rank disagrees with its width, base module over another
-    algebra, map out of a spot within its column (d(0), or d(1) = -del in
-    row -1) of the wrong shape or not module-linear, base d o d, or inexact
-    column.
+    connecting map whose key joins no two spots, free spot whose rank
+    disagrees with its width, base module over another algebra, map out of
+    a spot (d(0), d(1) = -del in row -1, or a stored d(k) with k >= 1) of
+    the wrong shape or not module-linear, base d o d, or inexact column.
 
     Module-linearity is checked on the algebra's generators only.  That is
     sound only because both ends of every map are known modules: a free
@@ -341,6 +341,14 @@ def _validate_spots(W: WallAssembly) -> None:
     """
     algebra = W.algebra
     generators = algebra.generators()
+    for k, q, j in sorted(W.connecting):
+        # the only keys ``_assemble`` stores; d(0) and row -1 are not stored
+        if not (
+            1 <= k <= q <= W.q_max
+            and 0 <= j <= W.columns[q].length
+            and j + k - 1 <= W.columns[q - k].length
+        ):
+            raise ValueError(f"connecting map ({k}, {q}, {j}) joins no two spots")
     for q, col in enumerate(W.columns):
         if not _same_algebra(W.base_modules[q].algebra, algebra):
             raise ValueError(f"base module {q} lives over a different algebra")
@@ -348,17 +356,24 @@ def _validate_spots(W: WallAssembly) -> None:
             rank = col.free_ranks[j] if j >= 0 else None
             if rank is not None and rank * algebra.dim != col.dim(j):
                 raise ValueError(f"column {q} degree {j} rank disagrees with its dimension")
-            k = int(j == -1)
+            k0 = int(j == -1)
             kind = f"differential {j}" if j > 0 else "augmentation"
-            name = f"base map {q}" if k else f"column {q} {kind}"
-            d = W.map(k, q, j)
-            want = (W.spot_dim(q - k, j + k - 1), W.spot_dim(q, j))
-            if d.shape != want:
-                raise ValueError(f"{name} has shape {d.shape}, expected {want}")
-            acts, tgt_acts = W.actions(q, j), W.actions(q - k, j + k - 1)
-            for i in generators:
-                if d @ acts[i] != tgt_acts[i] @ d:
-                    raise ValueError(f"{name} is not module-linear (basis element {i})")
+            maps = [(k0, f"base map {q}" if k0 else f"column {q} {kind}")]
+            maps += [
+                (k, f"d({k}) out of column {q} degree {j}")
+                for k in range(1, q + 1)
+                if (k, q, j) in W.connecting
+            ]
+            acts = W.actions(q, j)
+            for k, name in maps:
+                d = W.map(k, q, j)
+                want = (W.spot_dim(q - k, j + k - 1), W.spot_dim(q, j))
+                if d.shape != want:
+                    raise ValueError(f"{name} has shape {d.shape}, expected {want}")
+                tgt_acts = W.actions(q - k, j + k - 1)
+                for i in generators:
+                    if d @ acts[i] != tgt_acts[i] @ d:
+                        raise ValueError(f"{name} is not module-linear (basis element {i})")
         if q >= 2 and not (W.base_maps[q - 2] @ W.base_maps[q - 1]).is_zero():
             raise ValueError(f"base maps do not compose to zero at degree {q}")
         aug = ChainComplex(

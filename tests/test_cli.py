@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from operator import setitem
 
 import pytest
 
@@ -323,6 +324,25 @@ class TestWallBuild:
         code, out, err = _run(capsys, ["wall-build", "--input", path])
         assert code == 1 and out == ""
         assert "invalid input: order must be 'forward'" in err
+
+    # Lambda(1)'s basis index 1 as -1, which would alias it, or as true
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda a: setitem(a["products"][-1][2][0], 0, -1),
+            lambda a: setitem(a["products"][-1], 0, -1),
+            lambda a: setitem(a["products"][-1], 0, True),
+            lambda a: a.update(dim=-1, products=[], unit=[]),
+        ],
+        ids=["negative index", "negative row index", "bool index", "negative dim"],
+    )
+    def test_algebra_with_a_bad_index_or_dim_is_invalid(self, capsys, tmp_path, edit):
+        algebra = AlgebraPresentation.exterior_algebra(1).to_json()
+        edit(algebra)
+        path = _wall_job_file(tmp_path, algebra=algebra)
+        code, out, err = _run(capsys, ["wall-build", "--input", path])
+        assert code == 1 and out == ""
+        assert "invalid input: malformed algebra" in err
 
     def test_replay_of_a_job_with_another_order_is_invalid(self, capsys, tmp_path):
         dump = _run_json(capsys, ["wall-build", "--input", _wall_job_file(tmp_path)])

@@ -108,6 +108,28 @@ def test_group_algebra_processes_load_no_dataclasses(name, cold_runs):
     assert not {"dataclasses", "inspect"} & replay_imported
 
 
+def _replay_forks() -> bool:
+    """Whether a replay of several dumps forks, as ``cli._replay_all`` decides."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return cpus > 1 and hasattr(os, "fork")
+
+
+@pytest.mark.parametrize("group_algebra", [False, True], ids=["tree-lie", "group-algebra"])
+def test_one_replay_of_many_dumps_loads_their_modules(group_algebra, cold_runs):
+    # the bench replays a round's dumps in one process, which forks workers
+    # when the affinity mask has more than one CPU; the parent imports every
+    # job module the batch needs before it forks
+    names = sorted(name for name in GOLDEN if ("groupalg" in LOADS[name]) == group_algebra)
+    paths = [str(cold_runs[name][0]) for name in names]
+    proc, imported = _cold_run(["-m", "wallforge.cli", "verify-replay", *paths])
+    assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]
+    assert proc.stdout == "".join(f"ok {path}\n" for path in paths)
+    expected = FRONT | {f"wallforge.{m}" for name in names for m in LOADS[name]}
+    if _replay_forks():
+        expected.add("wallforge.forkmap")
+    assert _wallforge_modules(imported) == expected
+
+
 def test_no_process_imports_the_front_door_by_name(cold_runs):
     # a job module that imported wallforge.cli would run a second copy of the
     # front door next to the __main__ one

@@ -480,6 +480,36 @@ class TestCorruptedSpots:
         with pytest.raises(ValueError, match=re.escape(message)):
             wall_from_json(data)
 
+    def test_stored_non_linear_connecting_map_is_refused(self):
+        # E[Z/2]'s trivial line in degrees 0 and 1; Y sends it onto the sign
+        # line inside ker aug_0, so adding Y aug_1 to d(1) out of (1, 0)
+        # keeps every identity, but Y is not Z/2-linear
+        A = AlgebraPresentation.group_algebra(FiniteGroupTable.cyclic(2))
+        triv = ModulePresentation.one_dimensional(A, [1, 1])
+        res = free_resolution(A, triv, 2)
+        W = build_wall([res, res], [RationalMatrix.identity(1)])
+        Y = RationalMatrix([[1], [-1]])
+        d = W.map(1, 1, 0) + Y @ W.map(0, 1, 0)
+        connecting = {**W.connecting, (1, 1, 0): d}
+        edited = WallAssembly(W.algebra, W.base_modules, W.base_maps, W.columns, connecting)
+        assert verify_induction_identities(edited) == []
+        data = edited.to_json()
+        message = "d(1) out of column 1 degree 0 is not module-linear (basis element 1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            wall_from_json(data)
+
+    # (0, 0, 0) is shadowed by column 0's augmentation, and (5, 9, 3) lies
+    # past the last column; neither is a key the builder stores
+    @pytest.mark.parametrize("key", [(0, 0, 0), (5, 9, 3)], ids=["shadowed", "past q_max"])
+    def test_stored_connecting_key_that_joins_no_spots_is_refused(self, key):
+        W = _assemble(*self._inputs())
+        data = W.to_json()
+        k, q, j = key
+        data["connecting"].append({"k": k, "q": q, "j": j, "matrix": W.map(0, 0, 0).to_json()})
+        message = f"connecting map ({k}, {q}, {j}) joins no two spots"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            wall_from_json(data)
+
     def test_recoordinatized_free_spot_is_refused(self):
         # conjugating E[Z/2]'s degree-0 free spot keeps every identity, so
         # only the derived actions tell it from the spot its rank gives
