@@ -5,10 +5,16 @@ kernel, and solution set is computed exactly.  Entries are canonical
 scalars: an ``int`` when the value is integral and a ``Fraction``
 otherwise, never a float.  Constructors convert what they are given, and
 every arithmetic result is brought back to that form before it is stored,
-so integral matrices stay in fast ``int`` arithmetic and one non-unit pivot
-does not turn a whole elimination into ``Fraction``s.  ``str`` of a
+so integral matrices stay in fast ``int`` arithmetic.  ``str`` of a
 canonical scalar equals ``str`` of the same value as a ``Fraction``, so
 serialized output does not depend on the representation.
+
+Elimination (``_rref``, ``det`` and ``SpanTracker``) works on primitive
+integer rows: integer entries whose gcd is 1, each row a nonzero multiple of
+the one textbook elimination would hold.  One step, ``_cancel``, replaces a
+row by ``a * row - b * top`` with the content divided out, so coefficients
+stay small and no ``Fraction`` is built on the way; ``Fraction``s appear
+only in emitted results, when a reduced row is divided by its pivot.
 
 Storage is sparse: each row is a ``{column: scalar}`` dict holding only its
 nonzero entries, and no zero is ever stored.  Products, stacking,
@@ -27,14 +33,16 @@ count, because boundary maps into and out of the zero module show up
 constantly in chain complexes.
 
 The module also provides an incremental span tracker used for greedy basis
-completion, and ``solve_in_subspace``, the constrained solver of
-``A @ X = B`` behind every chain-map lift in the package.
+completion, and ``solve_in_subspace``, which solves ``A @ X = B`` for X in
+the span of given matrices.  The package's lifts solve on generator images
+instead; the reference lifts in the tests call it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -51,18 +59,6 @@ def canonical(x) -> Scalar:
     if type(x) is not Fraction:
         x = Fraction(x)
     return x._numerator if x._denominator == 1 else x
-
-
-def _inverse(x: Scalar) -> Scalar:
-    """``1 / x`` for a nonzero canonical scalar, canonical; +-1 stays an ``int``."""
-    if type(x) is int:
-        return x if x == 1 or x == -1 else Fraction(1, x)
-    n, d = x._numerator, x._denominator
-    if n == 1:
-        return d
-    if n == -1:
-        return -d
-    return Fraction(d, n)
 
 
 def _sparse_row(row: Iterable) -> dict:
@@ -90,17 +86,65 @@ def _canonical_row(acc: dict) -> dict:
     return out
 
 
-def _sub_multiple(row: dict, f: Scalar, top: dict) -> None:
-    """``row -= f * top`` in place, canonical, dropping entries that cancel."""
-    for j, b in top.items():
+def _primitive(row: dict) -> dict:
+    """Scale the sparse ``row`` in place to integer entries whose gcd is 1; returns it."""
+    den = 1
+    for x in row.values():
+        if type(x) is not int:
+            den = lcm(den, x._denominator)
+    if den != 1:
+        for j, x in row.items():
+            row[j] = x * den if type(x) is int else x._numerator * (den // x._denominator)
+    _divide_content(row)
+    return row
+
+
+def _divide_content(row: dict) -> int:
+    """Divide the integer ``row`` in place by the gcd of its entries; returns that gcd."""
+    g = gcd(*row.values())
+    if g > 1:
+        for j, x in row.items():
+            row[j] = x // g
+    return g
+
+
+def _cancel(row: dict, top: dict, c: int) -> tuple:
+    """Clear column ``c`` of ``row`` with ``top`` in place; the one elimination step.
+
+    Both are primitive integer rows, nonzero at ``c``.  ``row`` becomes
+    ``(a * row - b * top) / g``, where ``a > 0`` and ``b`` are the coprime
+    multipliers that cancel ``c`` and ``g`` is the content, so it is again
+    primitive and equals ``a / g`` times ``row - (row[c] / top[c]) * top``.
+    Returns ``a`` and ``g`` (0 when ``row`` became zero).
+    """
+    pv, f = top[c], row[c]
+    g = gcd(pv, f)
+    a, b = pv // g, f // g
+    if a < 0:
+        a, b = -a, -b
+    if a != 1:
+        for j, x in row.items():
+            row[j] = a * x
+    for j, y in top.items():
         x = row.get(j)
-        y = -f * b if x is None else x - f * b
-        if type(y) is not int and y._denominator == 1:
-            y = y._numerator
-        if y:
-            row[j] = y
+        if x is None:
+            row[j] = -b * y
         else:
-            del row[j]
+            x -= b * y
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+    return a, _divide_content(row)
+
+
+def _over(row: dict, pv: int) -> dict:
+    """The integer ``row`` divided by its pivot ``pv`` in place, as canonical scalars."""
+    if pv != 1:
+        for j, x in row.items():
+            q, r = divmod(x, pv)
+            row[j] = Fraction(x, pv) if r else q
+    return row
 
 
 def _leads(rows: Sequence[dict]) -> dict:
@@ -484,10 +528,15 @@ class RationalMatrix:
         textbook Gauss-Jordan with row swaps.  Rows below the current one
         are zero left of c, so they are found by their leading column
         instead of by scanning every row.
+
+        Working rows are primitive integer rows, each a nonzero multiple of
+        the row textbook elimination would hold, so the zero pattern and
+        the pivots are the same; only the emitted rows are divided by their
+        pivots.
         """
         if self._rref_cache is not None:
             return self._rref_cache
-        rows = [dict(row) for row in self._rows]
+        rows = [_primitive(dict(row)) for row in self._rows]
         order = list(range(len(rows)))  # row id at each position
         pos = list(order)  # position of each row id
         buckets = _leads(rows)
@@ -504,19 +553,14 @@ class RationalMatrix:
             order[r], order[pp] = p, q
             pos[p], pos[q] = r, pp
             top = rows[p]
-            pv = top[c]
-            if pv != 1:
-                inv = _inverse(pv)
-                top = rows[p] = _canonical_row({j: x * inv for j, x in top.items()})
             for i in pivot_rows:
-                f = rows[i].get(c)
-                if f is not None:
-                    _sub_multiple(rows[i], f, top)
+                if c in rows[i]:
+                    _cancel(rows[i], top, c)
             for i in cands:
                 if i == p:
                     continue
                 row = rows[i]
-                _sub_multiple(row, row[c], top)
+                _cancel(row, top, c)
                 if row:
                     lead = min(row)
                     bucket = buckets.get(lead)
@@ -527,7 +571,8 @@ class RationalMatrix:
                         bucket.append(i)
             pivot_rows.append(p)
             pivots.append(c)
-        cache = (tuple(rows[i] for i in pivot_rows), tuple(pivots))
+        emitted = tuple(_over(rows[i], rows[i][c]) for i, c in zip(pivot_rows, pivots))
+        cache = (emitted, tuple(pivots))
         object.__setattr__(self, "_rref_cache", cache)
         return cache
 
@@ -535,10 +580,25 @@ class RationalMatrix:
         return len(self._rref()[1])
 
     def det(self) -> Scalar:
-        """The determinant, as a canonical scalar."""
+        """The determinant, as a canonical scalar.
+
+        Eliminates in primitive integer rows like ``_rref``, and divides the
+        product of the pivots by the scalings the rows picked up on the way.
+        """
         if self.nrows != self._ncols:
             raise ValueError("determinant of a non-square matrix")
-        rows = [dict(row) for row in self._rows]
+        rows = [_primitive(dict(row)) for row in self._rows]
+        # det(self) * num / den == det(rows)
+        num = den = 1
+        for new, old in zip(rows, self._rows):
+            if not new:
+                return 0
+            j = next(iter(new))
+            x = old[j]
+            if type(x) is int:
+                num, den = num * new[j], den * x
+            else:
+                num, den = num * new[j] * x._denominator, den * x._numerator
         order = list(range(len(rows)))
         pos = list(order)
         buckets = _leads(rows)
@@ -555,17 +615,17 @@ class RationalMatrix:
                 pos[p], pos[q] = c, pp
                 sign = -sign
             top = rows[p]
-            pv = top[c]
-            prod *= pv
-            inv = _inverse(pv)
+            prod *= top[c]
             for i in cands:
                 if i == p:
                     continue
                 row = rows[i]
-                _sub_multiple(row, canonical(row[c] * inv), top)
-                if row:
-                    buckets.setdefault(min(row), []).append(i)
-        return canonical(sign * prod)
+                a, g = _cancel(row, top, c)
+                if not row:
+                    return 0
+                num, den = num * a, den * g
+                buckets.setdefault(min(row), []).append(i)
+        return canonical(Fraction(sign * prod * den, num))
 
     # -- serialization -----------------------------------------------------
 
@@ -575,16 +635,25 @@ class RationalMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "RationalMatrix":
-        nrows, ncols = int(data["rows"]), int(data["cols"])
+        nrows, ncols = data["rows"], data["cols"]
+        if type(nrows) is not int or type(ncols) is not int or nrows < 0 or ncols < 0:
+            raise ValueError(f"shape ({nrows!r},{ncols!r}) is not a pair of non-negative integers")
         rows: list = [{} for _ in range(nrows)]
         for i, j, val in data.get("entries", []):
             if type(i) is not int or type(j) is not int:
                 raise ValueError(f"entry index ({i!r},{j!r}) is not a pair of integers")
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise ValueError(f"entry ({i},{j}) outside {nrows}x{ncols}")
-            x = Fraction(val)
+            if (
+                type(val) is str
+                and val.isascii()
+                and (val[1:] if val[:1] == "-" else val).isdigit()
+            ):
+                x = int(val)  # -?[0-9]+, the form of most stored entries
+            else:
+                x = canonical(val)
             if x:
-                rows[i][j] = canonical(x)
+                rows[i][j] = x
             else:
                 rows[i].pop(j, None)
         return cls._from_sparse(rows, ncols)
@@ -647,21 +716,21 @@ def solve_vector(A: RationalMatrix, b: Sequence[Scalar]) -> Optional[Vector]:
 class SpanTracker:
     """Incremental membership test for a growing rational span.
 
-    Rows are kept in echelon form, each normalized at its pivot (its first
-    nonzero column), with canonical entries.  ``add`` returns True when the
-    vector enlarged the span; ``contains`` tests membership without
-    modification.  Insertion order is the caller's, which keeps greedy basis
-    selection deterministic.
+    Rows are kept in echelon form as primitive integer rows (integer
+    entries whose gcd is 1), keyed by their pivot, the first nonzero
+    column.  ``add`` returns True when the vector enlarged the span;
+    ``contains`` tests membership without modification.  Insertion order is
+    the caller's, which keeps greedy basis selection deterministic.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._rows: dict = {}  # pivot column -> sparse row
+        self._rows: dict = {}  # pivot column -> primitive integer row
 
     def _reduce(self, v: Sequence[Scalar]) -> dict:
         if len(v) != self.dim:
             raise ValueError(f"vector length {len(v)}, expected {self.dim}")
-        w = _sparse_row(v)
+        w = _primitive(_sparse_row(v))
         piv = self._rows
         # reduce by the rows whose pivots w hits, lowest pivot first; a row
         # only adds entries right of its pivot, so a heap visits each once
@@ -669,27 +738,13 @@ class SpanTracker:
         heapify(heap)
         while heap:
             pc = heappop(heap)
-            f = w.get(pc)
-            if f is None:
+            if pc not in w:
                 continue
-            row = piv[pc]
-            for j, b in row.items():
-                x = w.get(j)
-                if x is None:
-                    y = -f * b
-                    if type(y) is not int and y._denominator == 1:
-                        y = y._numerator
-                    w[j] = y
-                    if j in piv:
-                        heappush(heap, j)
-                else:
-                    y = x - f * b
-                    if type(y) is not int and y._denominator == 1:
-                        y = y._numerator
-                    if y:
-                        w[j] = y
-                    else:
-                        del w[j]
+            top = piv[pc]
+            for j in top:
+                if j not in w and j in piv:
+                    heappush(heap, j)
+            _cancel(w, top, pc)
         return w
 
     def contains(self, v: Sequence[Scalar]) -> bool:
@@ -699,12 +754,7 @@ class SpanTracker:
         w = self._reduce(v)
         if not w:
             return False
-        pc = min(w)
-        pv = w[pc]
-        if pv != 1:
-            inv = _inverse(pv)
-            w = _canonical_row({j: x * inv for j, x in w.items()})
-        self._rows[pc] = w
+        self._rows[min(w)] = w
         return True
 
     @property

@@ -5,12 +5,14 @@ Every operation here runs on matrices that mix ``int`` entries with
 mostly not units, so eliminations divide and their results land back on
 integers.  Results must equal those of the dense oracle, and every scalar
 handed out or stored must be canonical: never an integral ``Fraction``,
-never a float.
+never a float.  Entries reach numerators of 10**6 and denominators of 97,
+and rows are often multiples of earlier ones, for rank deficits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -27,8 +29,12 @@ ENTRY = st.one_of(
     st.integers(-6, 6),
     # integral Fractions too, such as Fraction(4, 2)
     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    st.integers(-10**6, 10**6),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 97)),
 )
-DIM = st.integers(0, 5)
+DIM = st.integers(0, 8)
+# duplicates, negated copies and proper multiples of earlier rows
+FACTOR = st.sampled_from([1, -1, -2, Fraction(3, 4), Fraction(-1, 97)])
 
 
 def canonical(x):
@@ -47,8 +53,25 @@ def stored_canonical(M):
     )
 
 
+@st.composite
+def with_multiples(draw, rows):
+    """``rows`` with some of them replaced by multiples of earlier ones."""
+    rows = [list(r) for r in rows]
+    for i in range(1, len(rows)):
+        if draw(st.integers(0, 2)) == 0:
+            k, c = draw(st.integers(0, i - 1)), draw(FACTOR)
+            rows[i] = [c * x for x in rows[k]]
+    return rows
+
+
 def grids(nrows, ncols):
-    return st.lists(st.lists(ENTRY, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+    cells = st.lists(st.lists(ENTRY, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+    return cells.flatmap(with_multiples)
+
+
+def primitive(row):
+    """Integer entries, nonzero, whose gcd is 1."""
+    return all(type(x) is int and x for x in row.values()) and gcd(*row.values()) == 1
 
 
 @st.composite
@@ -95,13 +118,22 @@ def test_canonical_keeps_the_fraction_errors(value):
         sparse.canonical(value)
 
 
-@given(ENTRY.filter(bool))
-def test_pivot_inverse(x):
-    x = sparse.canonical(x)
-    inv = sparse._inverse(x)
-    assert inv * x == 1 and canonical(inv)
-    if x in (1, -1):
-        assert inv == x and type(inv) is int
+@given(st.data())
+def test_one_elimination_step(data):
+    """``_cancel`` clears the column and leaves a primitive integer row that
+    is a positive multiple of the ``Fraction`` row textbook elimination
+    would hold."""
+    n = data.draw(st.integers(1, 8))
+    top, row = (sparse._sparse_row(data.draw(grids(1, n))[0]) for _ in "ab")
+    c = data.draw(st.integers(0, n - 1))
+    top.setdefault(c, data.draw(st.sampled_from([1, -1, 2, -97, 10**6])))
+    row[c] = data.draw(st.integers(-10**6, 10**6).filter(bool))
+    top, row = sparse._primitive(top), sparse._primitive(row)
+    expected = {j: row.get(j, 0) - Fraction(row[c], top[c]) * top.get(j, 0) for j in {*row, *top}}
+    new = dict(row)
+    a, g = sparse._cancel(new, top, c)
+    assert c not in new and a > 0 and (primitive(new) if new else g == 0)
+    assert new == {j: x * a / g for j, x in expected.items() if x}
 
 
 @given(grid(), st.data())
@@ -153,15 +185,15 @@ def test_products_against_the_oracle(data):
 @given(st.data())
 def test_span_tracker_against_the_oracle(data):
     dim = data.draw(DIM)
-    vectors = data.draw(st.lists(st.lists(ENTRY, min_size=dim, max_size=dim), max_size=8))
+    vectors = data.draw(st.integers(0, 10).flatmap(lambda k: grids(k, dim)))
     s, d = sparse.SpanTracker(dim), dense.SpanTracker(dim)
     for v in vectors:
         assert s.contains(v) == d.contains(v)
         assert s.add(v) == d.add(v)
         assert s.rank == d.rank
+        # each stored row is a primitive integer row keyed by its leading column
         for pc, row in s._rows.items():
-            assert row[pc] == 1
-            assert all(x != 0 and canonical(x) for x in row.values())
+            assert min(row) == pc and primitive(row)
 
 
 @given(grid(), st.data())

@@ -3,7 +3,10 @@
 ``dense_oracle`` holds the former dense implementation unchanged.  Every
 operation here runs on the same random matrices in both and must give the
 same result: small integer and fraction entries, mostly zeros, empty
-shapes included.
+shapes included.  Entries reach numerators of 10**6 and denominators of
+97, pivots are often negative, and rows are often multiples of earlier
+ones, so the eliminations meet rank deficits and the integer rows they
+work in must reach the same results as ``Fraction`` rows.
 """
 
 from __future__ import annotations
@@ -24,12 +27,29 @@ ENTRY = st.one_of(
     st.just(0),
     st.integers(-2, 2),
     st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    st.integers(-10**6, 10**6),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 97)),
 )
-DIM = st.integers(0, 5)
+DIM = st.integers(0, 8)
+# multipliers for rows copied from earlier ones: duplicates, negated copies
+# and proper multiples
+FACTOR = st.sampled_from([1, 1, -1, 2, -3, Fraction(5, 7), Fraction(-97, 2)])
+
+
+@st.composite
+def with_multiples(draw, rows):
+    """``rows`` with some of them replaced by multiples of earlier ones."""
+    rows = [list(r) for r in rows]
+    for i in range(1, len(rows)):
+        if draw(st.integers(0, 2)) == 0:
+            k, c = draw(st.integers(0, i - 1)), draw(FACTOR)
+            rows[i] = [c * x for x in rows[k]]
+    return rows
 
 
 def grids(nrows, ncols):
-    return st.lists(st.lists(ENTRY, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+    cells = st.lists(st.lists(ENTRY, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+    return cells.flatmap(with_multiples)
 
 
 @st.composite
@@ -160,6 +180,32 @@ def test_from_json_refuses_non_integer_index(index):
         sparse.RationalMatrix.from_json(doc)
 
 
+@pytest.mark.parametrize("bad", [True, -1, 1.9, "2", None])
+@pytest.mark.parametrize("key", ["rows", "cols"])
+def test_from_json_refuses_a_shape_that_is_not_a_non_negative_int(key, bad):
+    doc = {"rows": 2, "cols": 2, "entries": []}
+    doc[key] = bad
+    with pytest.raises(ValueError, match="not a pair of non-negative integers"):
+        sparse.RationalMatrix.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["7", "-7", "007", "-0", "0", "+3", " 3", "3 ", "1_000", "\u0663", "-", "", "--1", "4/2", "-6/4", "1.5", "x"],
+)
+def test_from_json_parses_an_entry_as_fraction_does(text):
+    """Only ``-?[0-9]+`` takes the ``int`` path; the value is the same either way."""
+    doc = {"rows": 1, "cols": 1, "entries": [[0, 0, text]]}
+    try:
+        want = Fraction(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            sparse.RationalMatrix.from_json(doc)
+        return
+    x = sparse.RationalMatrix.from_json(doc).entry(0, 0)
+    assert x == want and is_canonical(x)
+
+
 @given(st.data())
 def test_solve_in_subspace(data):
     p, q, r = data.draw(DIM), data.draw(DIM), data.draw(DIM)
@@ -189,7 +235,7 @@ def test_solve_in_subspace(data):
 @given(st.data())
 def test_span_tracker(data):
     dim = data.draw(DIM)
-    vectors = data.draw(st.lists(st.lists(ENTRY, min_size=dim, max_size=dim), max_size=8))
+    vectors = data.draw(st.integers(0, 10).flatmap(lambda k: grids(k, dim)))
     base = vectors[: len(vectors) // 2]
     rest = vectors[len(vectors) // 2 :]
     assert sparse.extend_to_basis(base, rest, dim) == dense.extend_to_basis(base, rest, dim)

@@ -287,6 +287,11 @@ class TestGeneratorImageLifts:
         digest = hashlib.sha256(_dump(exterior_s3_wall(3)).encode()).hexdigest()
         assert digest == "ea5bf89338e28735e4a047073e8460e813c4a68cbde3ed8c40f248a19ca3bd82"
 
+    def test_exterior_s3_wall_of_length_4_is_pinned(self):
+        # far more non-unit pivots than at L = 3
+        digest = hashlib.sha256(_dump(exterior_s3_wall(4)).encode()).hexdigest()
+        assert digest == "fb78026ae0f26393a8575394c95f40294d90429e1db14c367138a40082b8bbd4"
+
 
 def _cut_cases():
     yield "Lambda(1) staircase", _exterior_staircase((4, 3, 2)), range(2)
